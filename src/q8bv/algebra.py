@@ -70,6 +70,21 @@ def _build_mono_table() -> tuple[tuple[int, ...], ...]:
 MONO_MUL: tuple[tuple[int, ...], ...] = _build_mono_table()
 
 
+def mask_mul(a: int, b: int) -> int:
+    """Product of two coefficient masks (bilinear extension of MONO_MUL)."""
+    out = 0
+    while a:
+        low = a & -a
+        row = MONO_MUL[low.bit_length() - 1]
+        a ^= low
+        c = b
+        while c:
+            low = c & -c
+            out ^= row[low.bit_length() - 1]
+            c ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class AlgebraElement:
     """GF(2) linear combination of the 8 basis monomials, packed into bits."""
@@ -112,16 +127,7 @@ class AlgebraElement:
         return AlgebraElement(self.bits ^ other.bits)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = 0
-        sbits = self.bits
-        obits = other.bits
-        for a in range(8):
-            if sbits >> a & 1:
-                row = MONO_MUL[a]
-                for b in range(8):
-                    if obits >> b & 1:
-                        out ^= row[b]
-        return AlgebraElement(out)
+        return AlgebraElement(mask_mul(self.bits, other.bits))
 
     def __bool__(self) -> bool:
         return self.bits != 0

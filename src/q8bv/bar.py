@@ -126,7 +126,7 @@ class BarCochain:
     def __call__(self, args: Mids) -> AlgebraElement:
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
-        if any(a == UNIT for a in args):
+        if UNIT in args:
             return AlgebraElement.zero()
         cached = self._memo.get(args)
         if cached is None:

@@ -6,8 +6,15 @@ is built from the weak self-homotopy t_*.  Both satisfy the chain-map
 identities by construction; verify_chain_maps re-checks them on explicit
 arguments to guard the stored tables.
 
+psi is memoized per interior tuple as a packed P_n value (an int; the bit
+layout belongs to minres).  A miss extends the longest memoized tail one
+entry at a time through step tables, the per-bit images of t_r o (m . -),
+which are built on first use from minres.HOMOTOPY_TABLES as it stands then;
+clear_psi_memo drops the memo and the step tables together, so the hand
+tables stay the only source of truth.
+
 Degrees are capped at 8: that is as far as any product or BV computation on
-the 4-periodic resolution needs to go, and it keeps the memo tables small.
+the 4-periodic resolution needs to go, and it keeps the memo small.
 """
 from __future__ import annotations
 
@@ -32,7 +39,7 @@ from .minres import (
     differential_formulas,
     evaluate_min,
     generators,
-    homotopy_t,
+    homotopy_step_table,
     left_multiply as min_left_multiply,
     min_differential,
     right_multiply as min_right_multiply,
@@ -67,7 +74,7 @@ def phi_on_element(e: MinResElement) -> BarChain:
     """Bimodule-linear extension of phi to arbitrary elements of P_n."""
     acc = BarChain.zero(e.degree)
     table = phi(e.degree)
-    for left, slot, right in e.terms:
+    for left, slot, right in e.terms():
         acc = acc + right_multiply(
             left_multiply(AlgebraElement.monomial(left), table[slot]),
             AlgebraElement.monomial(right),
@@ -75,7 +82,9 @@ def phi_on_element(e: MinResElement) -> BarChain:
     return acc
 
 
-_PSI_MEMO: dict[tuple[int, Mids], MinResElement] = {}
+_PSI_MEMO: dict[Mids, int] = {}
+#: step table of t_r o (m . -) at index 8*r + m, built on first use
+_STEP_TABLES: list[tuple[int, ...] | None] = [None] * 32
 
 
 def psi(n: int, mids: Mids) -> MinResElement:
@@ -84,17 +93,40 @@ def psi(n: int, mids: Mids) -> MinResElement:
         raise ValueError(f"degree {n} outside supported range 0..{MAX_DEGREE}")
     if len(mids) != n:
         raise ValueError("tuple length does not match degree")
-    if any(m == UNIT for m in mids):
-        raise ValueError("interior entries must be non-unit monomials")
-    if n == 0:
-        return MinResElement.generator(0, 0)
-    key = (n, mids)
-    cached = _PSI_MEMO.get(key)
-    if cached is None:
-        tail = psi(n - 1, mids[1:])
-        cached = homotopy_t(n - 1, min_left_multiply(AlgebraElement.monomial(mids[0]), tail))
-        _PSI_MEMO[key] = cached
-    return cached
+    bits = _PSI_MEMO.get(mids)
+    if bits is None:
+        # every memo key was checked on the way in, so only misses are checked
+        for m in mids:
+            if not 0 < m < 8:
+                raise ValueError(f"interior entry {m!r} of {mids} is not a non-unit monomial 1..7")
+        bits = _psi_fill(mids)
+    return MinResElement(n, bits)
+
+
+def _psi_fill(mids: Mids) -> int:
+    """Packed psi(n, (m, *rest)) = t_{n-1}(m psi(n-1, rest)), memoizing every tail.
+
+    Starts from the longest memoized tail (the degree-0 generator when there
+    is none) and takes one step-table pass per remaining entry.
+    """
+    n = len(mids)
+    k = min(1, n)
+    while k < n and mids[k:] not in _PSI_MEMO:
+        k += 1
+    bits = _PSI_MEMO[mids[k:]] if k < n else MinResElement.generator(0, 0).bits
+    for i in range(k - 1, -1, -1):
+        index = (n - i - 1) % 4 * 8 + mids[i]
+        table = _STEP_TABLES[index]
+        if table is None:
+            table = _STEP_TABLES[index] = homotopy_step_table(n - i - 1, mids[i])
+        acc = 0
+        while bits:
+            low = bits & -bits
+            acc ^= table[low.bit_length() - 1]
+            bits ^= low
+        bits = acc
+        _PSI_MEMO[mids[i:]] = bits
+    return bits
 
 
 def psi_on_chain(chain: BarChain) -> MinResElement:
@@ -109,7 +141,9 @@ def psi_on_chain(chain: BarChain) -> MinResElement:
 
 
 def clear_psi_memo() -> None:
+    """Drop the psi memo and the step tables; both are rebuilt from HOMOTOPY_TABLES on use."""
     _PSI_MEMO.clear()
+    _STEP_TABLES[:] = [None] * len(_STEP_TABLES)
 
 
 def transport_to_bar(f: MinCochain) -> BarCochain:

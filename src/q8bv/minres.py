@@ -12,7 +12,7 @@ Differential and homotopy value tables are stored on arguments of the form
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .algebra import (
     UNIT,
@@ -28,6 +28,7 @@ from .algebra import (
     BASIS_NAMES,
     bimodule_derivation,
     dual_basis,
+    mask_mul,
 )
 from .report import Check, Report
 
@@ -45,26 +46,53 @@ def generators(degree: int) -> range:
     return range(GENERATOR_COUNTS[degree % 4])
 
 
+# An element of P_n is one int: bit (slot*8 + left)*8 + right stands for the
+# term left (x) gen_slot (x) right, so at most 2*8*8 = 128 bits.  The eight
+# bits of one (slot, left) row are a coefficient mask over the right
+# monomials, which is how right multiplication and evaluation read them.
+
+
+def _place(lefts: int, slot: int, rights: int) -> int:
+    """Packed sum of l (x) gen_slot (x) rights over the monomials l of the mask lefts."""
+    out = 0
+    while lefts:
+        low = lefts & -lefts
+        out ^= rights << ((slot << 3 | low.bit_length() - 1) << 3)
+        lefts ^= low
+    return out
+
+
+def _rows(bits: int) -> Iterator[tuple[int, int, int]]:
+    """The nonzero rows of a packed element as (slot, left, mask of right monomials)."""
+    while bits:
+        shift = (bits & -bits).bit_length() - 1 & ~7
+        rights = bits >> shift & 0xFF
+        bits ^= rights << shift
+        yield shift >> 6, shift >> 3 & 7, rights
+
+
 @dataclass(frozen=True)
 class MinResElement:
-    """GF(2) set of basis triples of the free bimodule P_degree."""
+    """GF(2) sum of basis triples of the free bimodule P_degree, packed into one int."""
 
     degree: int
-    terms: frozenset[Term]
+    bits: int
 
     @classmethod
     def zero(cls, degree: int) -> "MinResElement":
-        return cls(degree, frozenset())
+        return cls(degree, 0)
 
     @classmethod
     def of(cls, degree: int, terms: Iterable[Term]) -> "MinResElement":
-        acc: set[Term] = set()
+        acc = 0
         nslots = GENERATOR_COUNTS[degree % 4]
         for left, slot, right in terms:
             if not 0 <= slot < nslots:
                 raise ValueError(f"slot {slot} invalid at degree {degree}")
-            acc ^= {(left, slot, right)}
-        return cls(degree, frozenset(acc))
+            if not (0 <= left < 8 and 0 <= right < 8):
+                raise ValueError(f"term {(left, slot, right)}: monomial index outside 0..7")
+            acc ^= _place(1 << left, slot, 1 << right)
+        return cls(degree, acc)
 
     @classmethod
     def generator(cls, degree: int, slot: int) -> "MinResElement":
@@ -73,28 +101,30 @@ class MinResElement:
     def __add__(self, other: "MinResElement") -> "MinResElement":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return MinResElement(self.degree, self.terms ^ other.terms)
+        return MinResElement(self.degree, self.bits ^ other.bits)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return self.bits != 0
+
+    def terms(self) -> Iterator[Term]:
+        """The basis triples (left, slot, right) of the sum, in a fixed order."""
+        for slot, left, rights in _rows(self.bits):
+            for right in AlgebraElement(rights).monomials():
+                yield left, slot, right
 
 
 def left_multiply(a: AlgebraElement, e: MinResElement) -> MinResElement:
-    acc: set[Term] = set()
-    for left, slot, right in e.terms:
-        for m in a.monomials():
-            for new_left in AlgebraElement(MONO_MUL[m][left]).monomials():
-                acc ^= {(new_left, slot, right)}
-    return MinResElement(e.degree, frozenset(acc))
+    acc = 0
+    for slot, left, rights in _rows(e.bits):
+        acc ^= _place(mask_mul(a.bits, 1 << left), slot, rights)
+    return MinResElement(e.degree, acc)
 
 
 def right_multiply(e: MinResElement, a: AlgebraElement) -> MinResElement:
-    acc: set[Term] = set()
-    for left, slot, right in e.terms:
-        for m in a.monomials():
-            for new_right in AlgebraElement(MONO_MUL[right][m]).monomials():
-                acc ^= {(left, slot, new_right)}
-    return MinResElement(e.degree, frozenset(acc))
+    acc = 0
+    for slot, left, rights in _rows(e.bits):
+        acc ^= _place(1 << left, slot, mask_mul(rights, a.bits))
+    return MinResElement(e.degree, acc)
 
 
 @dataclass(frozen=True)
@@ -161,43 +191,38 @@ def differential_formulas(degree: int) -> tuple[DifferentialFormula, ...]:
 def min_differential(e: MinResElement) -> MinResElement:
     """Bimodule-linear extension of the generator formulas."""
     formulas = differential_formulas(e.degree)
-    acc: set[Term] = set()
-    for left, slot, right in e.terms:
+    acc = 0
+    for slot, left, rights in _rows(e.bits):
         for a, s2, b in formulas[slot].all_terms:
-            la = AlgebraElement(MONO_MUL[left][a])
-            rb = AlgebraElement(MONO_MUL[b][right])
-            for m1 in la.monomials():
-                for m2 in rb.monomials():
-                    acc ^= {(m1, s2, m2)}
-    return MinResElement(e.degree - 1, frozenset(acc))
+            acc ^= _place(MONO_MUL[left][a], s2, mask_mul(1 << b, rights))
+    return MinResElement(e.degree - 1, acc)
 
 
 def augmentation(e: MinResElement) -> AlgebraElement:
     """d0: multiply the two frames of P_0."""
     if e.degree % 4 != 0:
         raise ValueError("augmentation lives on P_0")
-    acc = AlgebraElement.zero()
-    for left, _, right in e.terms:
-        acc = acc + AlgebraElement(MONO_MUL[left][right])
-    return acc
+    acc = 0
+    for _, left, rights in _rows(e.bits):
+        acc ^= mask_mul(1 << left, rights)
+    return AlgebraElement(acc)
 
 
 def rho(a: AlgebraElement) -> MinResElement:
     """Bimodule splitting A -> P_3, rho(1) = sum_b b* (x) b."""
-    acc: set[Term] = set()
+    acc = 0
     for b in range(8):
-        for m in (AlgebraElement.monomial(b) * a).monomials():
-            acc ^= {(dual_basis(b), 0, m)}
-    return MinResElement(3, frozenset(acc))
+        acc ^= _place(1 << dual_basis(b), 0, mask_mul(1 << b, a.bits))
+    return MinResElement(3, acc)
 
 
 def tau(e: MinResElement) -> AlgebraElement:
     """Bimodule retraction P_3 -> A: xyxy (x) c -> c, other b (x) c -> 0."""
-    acc = AlgebraElement.zero()
-    for left, _, right in e.terms:
+    acc = 0
+    for _, left, rights in _rows(e.bits):
         if left == XYXY:
-            acc = acc + AlgebraElement.monomial(right)
-    return acc
+            acc ^= rights
+    return AlgebraElement(acc)
 
 
 def _t0_table() -> dict[tuple[int, int], tuple[Term, ...]]:
@@ -264,22 +289,38 @@ HOMOTOPY_TABLES: tuple[dict[tuple[int, int], tuple[Term, ...]], ...] = (
 )
 
 
+def _apply_homotopy(table, bits: int) -> int:
+    """Right-linear extension of a homotopy value table to a packed element."""
+    acc = 0
+    for slot, left, rights in _rows(bits):
+        for p, s2, q in table[(left, slot)]:
+            acc ^= _place(1 << p, s2, mask_mul(1 << q, rights))
+    return acc
+
+
 def homotopy_t(degree: int, e) -> MinResElement:
     """Apply t_degree; degree -1 takes an AlgebraElement, else a MinResElement."""
     if degree == -1:
-        acc: set[Term] = set()
-        for m in e.monomials():
-            acc ^= {(UNIT, 0, m)}
-        return MinResElement(0, frozenset(acc))
+        return MinResElement(0, _place(1 << UNIT, 0, e.bits))
     if e.degree != degree:
         raise ValueError("element degree does not match homotopy index")
+    return MinResElement(degree + 1, _apply_homotopy(HOMOTOPY_TABLES[degree % 4], e.bits))
+
+
+def homotopy_step_table(degree: int, m: int) -> tuple[int, ...]:
+    """Images of the basis terms of P_degree under e -> t_degree(m e).
+
+    Entry i is the packed image of the term whose bit is i in a packed
+    element, so applying the map to an element XORs the entries of its set
+    bits.  Read from HOMOTOPY_TABLES as it stands at the call.
+    """
     table = HOMOTOPY_TABLES[degree % 4]
-    acc = set()
-    for left, slot, right in e.terms:
-        for p, s2, q in table[(left, slot)]:
-            for m in AlgebraElement(MONO_MUL[q][right]).monomials():
-                acc ^= {(p, s2, m)}
-    return MinResElement(degree + 1, frozenset(acc))
+    return tuple(
+        _apply_homotopy(table, _place(MONO_MUL[m][left], slot, 1 << right))
+        for slot in generators(degree)
+        for left in range(8)
+        for right in range(8)
+    )
 
 
 def _basis_arguments(degree: int):
@@ -384,10 +425,11 @@ def evaluate_min(f: MinCochain, e: MinResElement) -> AlgebraElement:
     """Bimodule-linear evaluation of a MinCochain on an element of P_degree."""
     if e.degree != f.degree:
         raise ValueError("degree mismatch")
-    acc = AlgebraElement.zero()
-    for left, slot, right in e.terms:
-        acc = acc + AlgebraElement.monomial(left) * f.values[slot] * AlgebraElement.monomial(right)
-    return acc
+    values = f.values
+    acc = 0
+    for slot, left, rights in _rows(e.bits):
+        acc ^= mask_mul(mask_mul(1 << left, values[slot].bits), rights)
+    return AlgebraElement(acc)
 
 
 def min_cochain_differential(f: MinCochain) -> MinCochain:

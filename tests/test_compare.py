@@ -1,9 +1,11 @@
 """Comparison morphisms: recursion values, chain maps, transports, memo hygiene."""
 
+import itertools
+
 import pytest
 
-from q8bv import compare, minres
-from q8bv.algebra import UNIT, X, XY, XYX, XYXY, Y, YX, AlgebraElement
+from q8bv import cli, compare, minres
+from q8bv.algebra import MONO_MUL, UNIT, X, XY, XYX, XYXY, Y, YX, AlgebraElement
 from q8bv.bar import BarChain, BarTensor
 from q8bv.compare import (
     phi,
@@ -13,7 +15,7 @@ from q8bv.compare import (
     transport_to_min,
     verify_chain_maps,
 )
-from q8bv.hhring import catalog
+from q8bv.hhring import catalog, class_of_monomial, delta_class
 from q8bv.minres import MinCochain, MinResElement
 
 MONO = [AlgebraElement.monomial(i) for i in range(8)]
@@ -67,6 +69,47 @@ def test_psi_rejects_unit_entries():
         psi(2, (UNIT, X))
 
 
+def test_psi_rejects_entries_outside_the_non_unit_monomials():
+    compare.clear_psi_memo()
+    for mids, bad in (((-1, 3), "-1"), ((X, 8), "8"), ((XY, UNIT), "0")):
+        with pytest.raises(ValueError, match=f"entry {bad} "):
+            psi(2, mids)
+
+
+def _monomials(mask):
+    return [i for i in range(8) if mask >> i & 1]
+
+
+def reference_psi(mids):
+    """psi_n on 1 (x) mids (x) 1 as a set of (left, slot, right) triples:
+    psi_n(m, *rest) = t_{n-1}(m psi_{n-1}(rest)), read straight from the
+    hand tables in minres.HOMOTOPY_TABLES."""
+    terms = {(UNIT, 0, UNIT)}
+    for k in range(len(mids) - 1, -1, -1):
+        table = minres.HOMOTOPY_TABLES[(len(mids) - k - 1) % 4]
+        image = set()
+        for left, slot, right in terms:
+            for new_left in _monomials(MONO_MUL[mids[k]][left]):
+                for p, s2, q in table[(new_left, slot)]:
+                    for new_right in _monomials(MONO_MUL[q][right]):
+                        image ^= {(p, s2, new_right)}
+        terms = image
+    return terms
+
+
+def test_psi_matches_triple_set_reference_exhaustively_in_degrees_one_to_three():
+    for n in range(1, 4):
+        for mids in itertools.product(range(1, 8), repeat=n):
+            assert psi(n, mids) == MinResElement.of(n, reference_psi(mids)), mids
+
+
+def test_psi_matches_triple_set_reference_on_phi_tuples_in_degrees_four_to_eight():
+    for n in range(4, 9):
+        tuples = {t.mids for chain in phi(n) for t in chain.terms}
+        for mids in sorted(tuples):
+            assert psi(n, mids) == MinResElement.of(n, reference_psi(mids)), mids
+
+
 def test_psi_degree_guard():
     with pytest.raises(ValueError):
         psi(9, tuple([X] * 9))
@@ -94,6 +137,40 @@ def test_fault_injected_t2_breaks_degree_three(monkeypatch):
         assert not report.passed
         failed = " ".join(c.name for c in report.checks if not c.passed)
         assert "psi" in failed
+    finally:
+        compare.clear_psi_memo()
+
+
+def test_fault_injected_t1_after_warm_up_breaks_transport(monkeypatch):
+    """A corrupted table reaches psi and transport through clear_psi_memo alone,
+    after the memo and the step tables were filled with the good tables."""
+    cat = catalog()
+    delta_class(class_of_monomial(("u1", "u1", "v1", "z")))  # Delta of a degree-8 class
+    healthy = {name: transport_to_bar(cat[name].rep) for name in ("v1", "v2")}
+    tuples = list(itertools.product(range(1, 8), repeat=2))
+    warm = {name: [f(mids) for mids in tuples] for name, f in healthy.items()}
+    assert cli.suite_comparison().passed
+
+    tables = list(minres.HOMOTOPY_TABLES)
+    broken = dict(tables[1])
+    broken[(X, 0)] = ()  # t1(x (x) x (x) 1) should be 1 (x) rx (x) 1
+    tables[1] = broken
+    monkeypatch.setattr(minres, "HOMOTOPY_TABLES", tuple(tables))
+    compare.clear_psi_memo()
+    try:
+        report = cli.suite_comparison()
+        failed = [c.name for c in report.checks if not c.passed]
+        assert "psi chain map, degrees 1..3 exhaustive" in failed
+        # the degree-3 transport tables and the degree-2 transports see it too;
+        # the degree-1 transport checks cannot, since psi_1 reads t0 only
+        assert "psi_3 cyclic-sum rows match the degree-3 tables" in failed
+        assert "psi o phi = Id, degrees 0..4" in failed
+        for name in warm:
+            f = transport_to_bar(cat[name].rep)
+            assert [f(mids) for mids in tuples] != warm[name], name
+        assert any(
+            transport_to_min(transport_to_bar(cat[name].rep)) != cat[name].rep for name in warm
+        )
     finally:
         compare.clear_psi_memo()
 

@@ -52,6 +52,19 @@ def test_differential_squares_to_zero_degrees_one_to_eight():
             assert not augmentation(min_differential(elem(1, (b, slot, UNIT))))
 
 
+def test_of_rejects_monomial_index_out_of_range():
+    # packed, (9, 0, 12) would alias the term y (x) y (x) yx of slot 1
+    for bad in ((9, 0, 12), (0, 0, 8), (-1, 0, 0), (0, 0, -1)):
+        with pytest.raises(ValueError):
+            MinResElement.of(1, [bad])
+
+
+def test_of_cancels_repeated_terms():
+    assert not elem(1, (X, 1, Y), (X, 1, Y))
+    assert elem(1, (X, 1, Y), (X, 1, Y), (X, 0, Y)) == elem(1, (X, 0, Y))
+    assert set(elem(2, (X, 1, Y), (XYXY, 0, UNIT)).terms()) == {(X, 1, Y), (XYXY, 0, UNIT)}
+
+
 def test_differential_rejects_degree_zero():
     with pytest.raises(ValueError):
         min_differential(MinResElement.generator(0, 0))
