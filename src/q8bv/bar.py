@@ -5,13 +5,19 @@ Conventions, enforced centrally:
     that would place the unit in an interior slot drops that term,
   * a cochain evaluated on a tuple containing the unit returns zero,
   * all signs are trivial (GF(2) coefficients).
+
+A cochain value is an 8-bit coefficient mask (an int, see algebra): the
+memo stores masks, composites read their operands through BarCochain.mask
+and multiply with mask_mul, and only the public call wraps a value in an
+AlgebraElement.  Each circle product and each bracket is one flat cochain
+that loops over every insertion slot.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .algebra import UNIT, AlgebraElement, MONO_MUL, dual_basis, socle_pairing_with_one
+from .algebra import UNIT, XYXY, AlgebraElement, MONO_MUL, dual_basis, mask_mul
 
 Mids = tuple[int, ...]
 
@@ -115,111 +121,151 @@ def bar_differential(chain: BarChain) -> BarChain:
 class BarCochain:
     """Lazily evaluated, memoized multilinear map on interior slot tuples.
 
-    Degree-0 cochains are constants; call them with the empty tuple.
+    fn returns the value on a tuple of non-unit monomials as an 8-bit
+    coefficient mask; the memo stores masks.  Degree-0 cochains are
+    constants; call them with the empty tuple.
     """
 
-    def __init__(self, degree: int, fn: Callable[[Mids], AlgebraElement]):
+    def __init__(self, degree: int, fn: Callable[[Mids], int]):
+        if degree < 0:
+            raise ValueError(f"cochain degree must be >= 0, got {degree}")
         self.degree = degree
         self._fn = fn
-        self._memo: dict[Mids, AlgebraElement] = {}
+        self._memo: dict[Mids, int] = {}
+
+    def mask(self, args: Mids) -> int:
+        """The value on args as a coefficient mask; zero when an entry is the unit.
+
+        The length of args is not checked: the composites below build their
+        argument tuples to size.
+        """
+        if UNIT in args:
+            return 0
+        value = self._memo.get(args)
+        if value is None:
+            value = self._memo[args] = self._fn(args)
+        return value
 
     def __call__(self, args: Mids) -> AlgebraElement:
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
-        if UNIT in args:
-            return AlgebraElement.zero()
-        cached = self._memo.get(args)
-        if cached is None:
-            cached = self._fn(args)
-            self._memo[args] = cached
-        return cached
+        return AlgebraElement(self.mask(args))
 
     def __add__(self, other: "BarCochain") -> "BarCochain":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return BarCochain(self.degree, lambda args: self(args) + other(args))
+        f, g = self.mask, other.mask
+        return BarCochain(self.degree, lambda args: f(args) ^ g(args))
 
 
 def constant_cochain(value: AlgebraElement) -> BarCochain:
-    return BarCochain(0, lambda args: value)
+    bits = value.bits
+    return BarCochain(0, lambda args: bits)
 
 
 def zero_cochain(degree: int) -> BarCochain:
-    return BarCochain(degree, lambda args: AlgebraElement.zero())
+    return BarCochain(degree, lambda args: 0)
 
 
 def evaluate_on_chain(f: BarCochain, chain: BarChain) -> AlgebraElement:
     """Pair a cochain with a chain: sum of left * f(mids) * right."""
-    acc = AlgebraElement.zero()
+    if chain.degree != f.degree:
+        raise ValueError(f"cochain of degree {f.degree} on a chain of degree {chain.degree}")
+    acc = 0
     for t in chain.terms:
-        acc = acc + AlgebraElement.monomial(t.left) * f(t.mids) * AlgebraElement.monomial(t.right)
-    return acc
+        value = f.mask(t.mids)
+        if value:
+            acc ^= mask_mul(mask_mul(1 << t.left, value), 1 << t.right)
+    return AlgebraElement(acc)
 
 
 def cochain_differential(f: BarCochain) -> BarCochain:
     """Hochschild cochain differential; degree rises by one."""
-    n = f.degree
+    n, fmask = f.degree, f.mask
 
-    def fn(args: Mids) -> AlgebraElement:
-        acc = AlgebraElement.monomial(args[0]) * f(args[1:])
+    def fn(args: Mids) -> int:
+        acc = mask_mul(1 << args[0], fmask(args[1:])) ^ mask_mul(fmask(args[:-1]), 1 << args[n])
         for i in range(1, n + 1):
-            prod = AlgebraElement(MONO_MUL[args[i - 1]][args[i]])
-            for m in prod.monomials():
-                if m == UNIT:
-                    continue  # normalized cochains vanish on unit arguments
-                acc = acc + f(args[: i - 1] + (m,) + args[i + 1 :])
-        acc = acc + f(args[:-1]) * AlgebraElement.monomial(args[n])
+            prod = MONO_MUL[args[i - 1]][args[i]]  # a monomial or zero
+            if prod:
+                acc ^= fmask(args[: i - 1] + (prod.bit_length() - 1,) + args[i + 1 :])
         return acc
 
     return BarCochain(n + 1, fn)
 
 
 def cup(f: BarCochain, g: BarCochain) -> BarCochain:
-    n = f.degree
+    n, fmask, gmask = f.degree, f.mask, g.mask
 
-    def fn(args: Mids) -> AlgebraElement:
-        return f(args[:n]) * g(args[n:])
+    def fn(args: Mids) -> int:
+        left = fmask(args[:n])
+        return mask_mul(left, gmask(args[n:])) if left else 0
 
     return BarCochain(n + g.degree, fn)
 
 
-def circle_i(f: BarCochain, g: BarCochain, i: int) -> BarCochain:
-    """Insert the value of g into slot i of f (1 <= i <= deg f).
+def _non_unit_monomials() -> tuple[tuple[int, ...], ...]:
+    table: list[tuple[int, ...]] = [()]
+    for i in range(1, 8):
+        table += [t + (i,) for t in table]
+    return tuple(table)
 
-    The value of g is expanded over the monomial basis; unit components are
-    killed by the normalized convention.  For deg g = 0 the insertion window
-    is empty and the constant is inserted between neighboring arguments.
+
+#: _NON_UNIT[mask >> 1] lists the non-unit monomials of a coefficient mask
+_NON_UNIT = _non_unit_monomials()
+
+
+def _insert(fmask, gmask, m: int, slots: range, args: Mids) -> int:
+    """Sum over the 0-based slots s of f(args[:s], g(args[s:s+m]), args[s+m:]).
+
+    The value of g is expanded over the monomial basis and its unit component
+    is dropped (the normalized convention); for m = 0 the insertion window is
+    empty and the constant goes between neighboring arguments.
     """
-    n, m = f.degree, g.degree
+    acc = 0
+    for s in slots:
+        monos = _NON_UNIT[gmask(args[s : s + m]) >> 1]
+        if monos:
+            head, tail = args[:s], args[s + m :]
+            for mono in monos:
+                acc ^= fmask(head + (mono,) + tail)
+    return acc
+
+
+def _insertion_degree(name: str, f: BarCochain, g: BarCochain) -> int:
+    degree = f.degree + g.degree - 1
+    if degree < 0:
+        raise ValueError(f"{name} of degrees {f.degree} and {g.degree} would have degree {degree}")
+    return degree
+
+
+def circle_i(f: BarCochain, g: BarCochain, i: int) -> BarCochain:
+    """Insert the value of g into slot i of f (1 <= i <= deg f)."""
+    n, m, fmask, gmask = f.degree, g.degree, f.mask, g.mask
     if not 1 <= i <= n:
         raise ValueError(f"slot {i} out of range for degree {n}")
-
-    def fn(args: Mids) -> AlgebraElement:
-        inner = g(args[i - 1 : i - 1 + m])
-        acc = AlgebraElement.zero()
-        for mono in inner.monomials():
-            if mono == UNIT:
-                continue
-            acc = acc + f(args[: i - 1] + (mono,) + args[i - 1 + m :])
-        return acc
-
-    return BarCochain(n + m - 1, fn)
+    slots = range(i - 1, i)
+    return BarCochain(n + m - 1, lambda args: _insert(fmask, gmask, m, slots, args))
 
 
 def circle(f: BarCochain, g: BarCochain) -> BarCochain:
-    """Sum of all insertions of g into f; zero when f has no slots."""
-    n, m = f.degree, g.degree
-    if n == 0:
-        return zero_cochain(m - 1)
-    out = circle_i(f, g, 1)
-    for i in range(2, n + 1):
-        out = out + circle_i(f, g, i)
-    return out
+    """Sum of all insertions of g into f, as one cochain; zero when f has no slots."""
+    m, fmask, gmask = g.degree, f.mask, g.mask
+    slots = range(f.degree)
+    return BarCochain(
+        _insertion_degree("circle", f, g), lambda args: _insert(fmask, gmask, m, slots, args)
+    )
 
 
 def bracket(f: BarCochain, g: BarCochain) -> BarCochain:
-    """Gerstenhaber bracket f o g + g o f (signs trivial over GF(2))."""
-    return circle(f, g) + circle(g, f)
+    """Gerstenhaber bracket f o g + g o f (signs trivial over GF(2)), as one cochain."""
+    n, m, fmask, gmask = f.degree, g.degree, f.mask, g.mask
+    f_slots, g_slots = range(n), range(m)
+
+    def fn(args: Mids) -> int:
+        return _insert(fmask, gmask, m, f_slots, args) ^ _insert(gmask, fmask, n, g_slots, args)
+
+    return BarCochain(_insertion_degree("bracket", f, g), fn)
 
 
 def bv_delta(f: BarCochain) -> BarCochain:
@@ -228,19 +274,19 @@ def bv_delta(f: BarCochain) -> BarCochain:
     Delta(f)(a_1..a_{n-1}) = sum over non-unit b of
     < sum_i f(a_i..a_{n-1}, b, a_1..a_{i-1}), 1 > b*.
     """
-    n = f.degree
+    n, fmask = f.degree, f.mask
     if n < 1:
         raise ValueError("needs degree >= 1")
 
-    def fn(args: Mids) -> AlgebraElement:
+    def fn(args: Mids) -> int:
         bits = 0
         for b in range(1, 8):
             s = 0
-            for i in range(1, n + 1):
-                s ^= socle_pairing_with_one(f(args[i - 1 :] + (b,) + args[: i - 1]))
-            if s:
+            for i in range(n):
+                s ^= fmask(args[i:] + (b,) + args[:i])
+            if s >> XYXY & 1:  # the pairing <s, 1>
                 bits ^= 1 << dual_basis(b)
-        return AlgebraElement(bits)
+        return bits
 
     return BarCochain(n - 1, fn)
 

@@ -11,7 +11,9 @@ layout belongs to minres).  A miss extends the longest memoized tail one
 entry at a time through step tables, the per-bit images of t_r o (m . -),
 which are built on first use from minres.HOMOTOPY_TABLES as it stands then;
 clear_psi_memo drops the memo and the step tables together, so the hand
-tables stay the only source of truth.
+tables stay the only source of truth.  psi_bits is the int entry:
+transport_to_bar evaluates a cochain on its packed values through
+minres.evaluate_bits, with no MinResElement or AlgebraElement in between.
 
 Degrees are capped at 8: that is as far as any product or BV computation on
 the 4-periodic resolution needs to go, and it keeps the memo small.
@@ -37,7 +39,7 @@ from .minres import (
     MinCochain,
     MinResElement,
     differential_formulas,
-    evaluate_min,
+    evaluate_bits,
     generators,
     homotopy_step_table,
     left_multiply as min_left_multiply,
@@ -89,18 +91,23 @@ _STEP_TABLES: list[tuple[int, ...] | None] = [None] * 32
 
 def psi(n: int, mids: Mids) -> MinResElement:
     """Value of psi_n on the basis tensor 1 (x) mids (x) 1, memoized."""
-    if not 0 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree {n} outside supported range 0..{MAX_DEGREE}")
     if len(mids) != n:
-        raise ValueError("tuple length does not match degree")
+        raise ValueError(f"tuple length {len(mids)} does not match degree {n}")
+    return MinResElement(n, psi_bits(mids))
+
+
+def psi_bits(mids: Mids) -> int:
+    """Packed value of psi on 1 (x) mids (x) 1; the degree is len(mids)."""
     bits = _PSI_MEMO.get(mids)
     if bits is None:
         # every memo key was checked on the way in, so only misses are checked
+        if len(mids) > MAX_DEGREE:
+            raise ValueError(f"degree {len(mids)} outside supported range 0..{MAX_DEGREE}")
         for m in mids:
             if not 0 < m < 8:
                 raise ValueError(f"interior entry {m!r} of {mids} is not a non-unit monomial 1..7")
         bits = _psi_fill(mids)
-    return MinResElement(n, bits)
+    return bits
 
 
 def _psi_fill(mids: Mids) -> int:
@@ -148,8 +155,8 @@ def clear_psi_memo() -> None:
 
 def transport_to_bar(f: MinCochain) -> BarCochain:
     """The composite cochain taking mids to f(psi(mids))."""
-    n = f.degree
-    return BarCochain(n, lambda mids: evaluate_min(f, psi(n, mids)))
+    values = tuple(v.bits for v in f.values)
+    return BarCochain(f.degree, lambda mids: evaluate_bits(values, psi_bits(mids)))
 
 
 def transport_to_min(g: BarCochain) -> MinCochain:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .algebra import ONE, UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
 from .bar import bracket as bar_bracket, cup as bar_cup, bv_delta
-from .compare import MAX_DEGREE, transport_to_bar, transport_to_min
+from .compare import MAX_DEGREE, clear_psi_memo, phi, transport_to_bar, transport_to_min
 from .gf2 import GF2Matrix, GF2Vector, in_span, kernel_basis, rank, row_space_basis, solve
 from .minres import (
     GENERATOR_COUNTS,
@@ -381,15 +381,11 @@ EXPECTED_DELTA_NONZERO: dict[tuple[str, str], str] = {
     ("u1p", "v2"): "v1", ("u1", "v2p"): "v1",
 }
 
-#: the bracket table: zero on all generator pairs except these
-EXPECTED_BRACKET_NONZERO: dict[tuple[str, str], str] = {
-    ("p1", "u1"): "p2p", ("p3", "u1"): "p2p", ("p2", "u1p"): "p2p",
-    ("p2", "u1"): "p1", ("p2p", "u1p"): "p1",
-    ("p2p", "u1"): "p2", ("p1", "u1p"): "p2", ("p3", "u1p"): "p2",
-    ("u1", "v1"): "u1p^2+v2", ("u1p", "v2p"): "u1p^2+v2",
-    ("u1p", "v1"): "u1^2+v2p", ("u1", "v2"): "u1^2+v2p",
-    ("u1p", "v2"): "v1", ("u1", "v2p"): "v1",
-}
+#: the bracket table: zero on all generator pairs except these.  It is the
+#: Delta table: Delta vanishes on all ten generators (the Delta table checks
+#: that), so the BV identity [a, b] = Delta(a*b) + Delta(a)*b + a*Delta(b)
+#: leaves [a, b] = Delta(a*b).
+EXPECTED_BRACKET_NONZERO: dict[tuple[str, str], str] = EXPECTED_DELTA_NONZERO
 
 
 def generator_pairs() -> list[tuple[str, str]]:
@@ -550,3 +546,27 @@ def render_class(c: CohomologyClass) -> str:
         raise ValueError("class is not a combination of generator monomials")
     names = sorted(monomial_name(monos[i]) for i in range(len(monos)) if sol[i])
     return "+".join(names)
+
+
+# ---------------------------------------------------------------------------
+# Resetting the memos
+# ---------------------------------------------------------------------------
+
+#: the lru-cached functions clear_caches resets, held as defined here so the
+#: reset still reaches their caches when a caller rebinds or wraps the names
+_CACHED_FUNCTIONS = (
+    phi, _delta_image_vectors, coboundary_basis_vectors, catalog, _rendering_basis_cached,
+)
+
+
+def clear_caches() -> None:
+    """Reset every memo built on the resolution tables, psi included.
+
+    Drops the psi memo and step tables, phi, the coboundary bases, the
+    catalog, the memoized monomial classes and the rendering bases; each is
+    rebuilt from the tables as they stand at the next use.
+    """
+    clear_psi_memo()
+    for cached in _CACHED_FUNCTIONS:
+        cached.cache_clear()
+    _MONOMIAL_CLASS_MEMO.clear()

@@ -425,11 +425,15 @@ def evaluate_min(f: MinCochain, e: MinResElement) -> AlgebraElement:
     """Bimodule-linear evaluation of a MinCochain on an element of P_degree."""
     if e.degree != f.degree:
         raise ValueError("degree mismatch")
-    values = f.values
+    return AlgebraElement(evaluate_bits(tuple(v.bits for v in f.values), e.bits))
+
+
+def evaluate_bits(value_masks: tuple[int, ...], bits: int) -> int:
+    """evaluate_min on raw masks: generator values as coefficient masks, a packed element."""
     acc = 0
-    for slot, left, rights in _rows(e.bits):
-        acc ^= mask_mul(mask_mul(1 << left, values[slot].bits), rights)
-    return AlgebraElement(acc)
+    for slot, left, rights in _rows(bits):
+        acc ^= mask_mul(mask_mul(1 << left, value_masks[slot]), rights)
+    return acc
 
 
 def min_cochain_differential(f: MinCochain) -> MinCochain:

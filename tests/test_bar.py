@@ -32,11 +32,11 @@ def tensor(left, mids, right):
 
 
 def identity_cochain() -> BarCochain:
-    return BarCochain(1, lambda args: MONO[args[0]])
+    return BarCochain(1, lambda args: MONO[args[0]].bits)
 
 
 def multiplication_cochain() -> BarCochain:
-    return BarCochain(2, lambda args: MONO[args[0]] * MONO[args[1]])
+    return BarCochain(2, lambda args: (MONO[args[0]] * MONO[args[1]]).bits)
 
 
 def test_bar_differential_degree_one():
@@ -130,7 +130,7 @@ def test_circle_insertion_of_unit_vanishes():
 
 def test_circle_composition_degree_one():
     f = identity_cochain()
-    g = BarCochain(1, lambda args: MONO[args[0]] * MONO[X])
+    g = BarCochain(1, lambda args: (MONO[args[0]] * MONO[X]).bits)
     got = circle_i(f, g, 1)
     for b in NON_UNIT:
         # f(g(b)) expanded over the basis, units dropped
@@ -258,15 +258,163 @@ def test_bv_delta_rejects_degree_zero():
 
 
 def test_bv_delta_of_zero_cochain():
-    f = BarCochain(1, lambda args: AlgebraElement.zero())
+    f = BarCochain(1, lambda args: 0)
     assert not bv_delta(f)(())
 
 
 def test_bv_delta_degree_one_formula():
     # Delta(f)() = sum_b <f(b), 1> b*
-    f = BarCochain(1, lambda args: MONO[args[0]] * MONO[YXY])
+    f = BarCochain(1, lambda args: (MONO[args[0]] * MONO[YXY]).bits)
     expected = AlgebraElement.zero()
     for b in NON_UNIT:
         if (MONO[b] * MONO[YXY]).coefficient(XYXY):
             expected = expected + MONO[bar.dual_basis(b)]
     assert bv_delta(f)(()) == expected
+
+
+def test_negative_degree_is_rejected():
+    c = constant_cochain(MONO[X])
+    for op in (bar.bracket, bar.circle):
+        with pytest.raises(ValueError, match="degrees 0 and 0"):
+            op(c, c)
+    with pytest.raises(ValueError, match="-1"):
+        bar.zero_cochain(-1)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the AlgebraElement-valued formulas the mask kernels replaced
+# ---------------------------------------------------------------------------
+
+
+class RefCochain:
+    """Memoized AlgebraElement-valued cochain, zero on unit arguments."""
+
+    def __init__(self, degree, fn):
+        self.degree, self._fn, self._memo = degree, fn, {}
+
+    def __call__(self, args):
+        assert len(args) == self.degree
+        if UNIT in args:
+            return AlgebraElement.zero()
+        if args not in self._memo:
+            self._memo[args] = self._fn(args)
+        return self._memo[args]
+
+    def __add__(self, other):
+        return RefCochain(self.degree, lambda args: self(args) + other(args))
+
+
+def ref_cup(f, g):
+    n = f.degree
+    return RefCochain(n + g.degree, lambda args: f(args[:n]) * g(args[n:]))
+
+
+def ref_circle_i(f, g, i):
+    m = g.degree
+
+    def fn(args):
+        acc = AlgebraElement.zero()
+        for mono in g(args[i - 1 : i - 1 + m]).monomials():
+            if mono != UNIT:
+                acc = acc + f(args[: i - 1] + (mono,) + args[i - 1 + m :])
+        return acc
+
+    return RefCochain(f.degree + m - 1, fn)
+
+
+def ref_circle(f, g):
+    if f.degree == 0:
+        return RefCochain(g.degree - 1, lambda args: AlgebraElement.zero())
+    out = ref_circle_i(f, g, 1)
+    for i in range(2, f.degree + 1):
+        out = out + ref_circle_i(f, g, i)
+    return out
+
+
+def ref_bracket(f, g):
+    return ref_circle(f, g) + ref_circle(g, f)
+
+
+def ref_bv_delta(f):
+    n = f.degree
+
+    def fn(args):
+        acc = AlgebraElement.zero()
+        for b in NON_UNIT:
+            s = 0
+            for i in range(1, n + 1):
+                s ^= f(args[i - 1 :] + (b,) + args[: i - 1]).coefficient(XYXY)
+            if s:
+                acc = acc + MONO[bar.dual_basis(b)]
+        return acc
+
+    return RefCochain(n - 1, fn)
+
+
+def ref_differential(f):
+    n = f.degree
+
+    def fn(args):
+        acc = MONO[args[0]] * f(args[1:]) + f(args[:-1]) * MONO[args[n]]
+        for i in range(1, n + 1):
+            for m in (MONO[args[i - 1]] * MONO[args[i]]).monomials():
+                if m != UNIT:
+                    acc = acc + f(args[: i - 1] + (m,) + args[i + 1 :])
+        return acc
+
+    return RefCochain(n + 1, fn)
+
+
+def paired_operations(pairs, max_degree):
+    """(name, kernel cochain, reference cochain) for every cup, bracket,
+    circle and Delta of the given (kernel, reference) operands whose result
+    degree is at most max_degree."""
+    for (fk, fr), (gk, gr) in itertools.product(pairs, repeat=2):
+        if fk.degree + gk.degree <= max_degree:
+            yield "cup", cup(fk, gk), ref_cup(fr, gr)
+        if 0 < fk.degree + gk.degree <= max_degree + 1:
+            yield "bracket", bar.bracket(fk, gk), ref_bracket(fr, gr)
+            yield "circle", bar.circle(fk, gk), ref_circle(fr, gr)
+    for fk, fr in pairs:
+        if fk.degree:
+            yield "Delta", bv_delta(fk), ref_bv_delta(fr)
+        if fk.degree < max_degree:
+            yield "differential", cochain_differential(fk), ref_differential(fr)
+
+
+def test_mask_kernels_match_reference_exhaustively_to_degree_three():
+    pairs = [
+        (identity_cochain(), RefCochain(1, lambda args: MONO[args[0]])),
+        (multiplication_cochain(), RefCochain(2, lambda args: MONO[args[0]] * MONO[args[1]])),
+        (constant_cochain(MONO[XY] + MONO[YX]), RefCochain(0, lambda args: MONO[XY] + MONO[YX])),
+    ]
+    seen = set()
+    for name, kernel, ref in paired_operations(pairs, 3):
+        seen.add(name)
+        assert kernel.degree == ref.degree
+        for args in itertools.product(range(8), repeat=kernel.degree):
+            assert kernel(args) == ref(args), (name, args)
+    assert seen == {"cup", "bracket", "circle", "Delta", "differential"}
+
+
+def test_mask_kernels_match_reference_on_phi_images_of_catalog_generators():
+    from q8bv.compare import phi, psi, transport_to_bar
+    from q8bv.hhring import GENERATOR_ORDER, catalog
+    from q8bv.minres import evaluate_min
+
+    def ref_transport(rep):
+        n = rep.degree
+        return RefCochain(n, lambda mids: evaluate_min(rep, psi(n, mids)))
+
+    cat = catalog()
+    pairs = [(transport_to_bar(cat[g].rep), ref_transport(cat[g].rep)) for g in GENERATOR_ORDER]
+    tuples = {n: sorted({t.mids for chain in phi(n) for t in chain.terms}) for n in range(9)}
+    count = 0
+    for name, kernel, ref in paired_operations(pairs, 8):
+        if name in ("circle", "differential"):
+            continue
+        count += 1
+        for args in tuples[kernel.degree]:
+            assert kernel(args) == ref(args), (name, args)
+    # ordered pairs: 100 cups, 84 brackets (not both of degree 0), 6 Deltas
+    assert count == 100 + 84 + 6

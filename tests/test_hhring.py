@@ -281,3 +281,32 @@ def test_unit_class():
     cat = catalog()
     assert class_eq(cup_classes(one, cat["u1"]), cat["u1"])
     assert render_class(one) == "1"
+
+
+def test_clear_caches_resets_every_memo_built_on_transport(monkeypatch):
+    from q8bv import compare, minres
+
+    mono = ("u1", "u1", "z")
+    warm = class_of_monomial(mono).rep
+    tables = list(minres.HOMOTOPY_TABLES)
+    broken = dict(tables[1])
+    broken[(X, 0)] = ()  # t1(x (x) x (x) 1) should be 1 (x) rx (x) 1
+    tables[1] = broken
+    monkeypatch.setattr(minres, "HOMOTOPY_TABLES", tuple(tables))
+    try:
+        compare.clear_psi_memo()  # psi alone: the monomial class memo keeps the warm value
+        assert class_of_monomial(mono).rep == warm
+        hhring.clear_caches()
+        assert class_of_monomial(mono).rep != warm
+    finally:
+        monkeypatch.undo()
+        hhring.clear_caches()
+    assert class_of_monomial(mono).rep == warm
+
+
+def test_clear_caches_reaches_caches_behind_wrapped_names(monkeypatch):
+    original = hhring.catalog
+    monkeypatch.setattr(hhring, "catalog", lambda: original())
+    original()
+    hhring.clear_caches()
+    assert original.cache_info().currsize == 0
