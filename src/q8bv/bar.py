@@ -69,9 +69,9 @@ def left_multiply(a: AlgebraElement, chain: BarChain) -> BarChain:
     acc: set[BarTensor] = set()
     for t in chain.terms:
         for m in a.monomials():
-            prod = MONO_MUL[m][t.left]
-            for new_left in AlgebraElement(prod).monomials():
-                acc ^= {BarTensor(new_left, t.mids, t.right)}
+            prod = MONO_MUL[m][t.left]  # a monomial or zero
+            if prod:
+                acc ^= {BarTensor(prod.bit_length() - 1, t.mids, t.right)}
     return BarChain(chain.degree, frozenset(acc))
 
 
@@ -80,9 +80,9 @@ def right_multiply(chain: BarChain, a: AlgebraElement) -> BarChain:
     acc: set[BarTensor] = set()
     for t in chain.terms:
         for m in a.monomials():
-            prod = MONO_MUL[t.right][m]
-            for new_right in AlgebraElement(prod).monomials():
-                acc ^= {BarTensor(t.left, t.mids, new_right)}
+            prod = MONO_MUL[t.right][m]  # a monomial or zero
+            if prod:
+                acc ^= {BarTensor(t.left, t.mids, prod.bit_length() - 1)}
     return BarChain(chain.degree, frozenset(acc))
 
 
@@ -109,12 +109,14 @@ def bar_differential(chain: BarChain) -> BarChain:
         n = t.degree
         slots = (t.left,) + t.mids + (t.right,)
         for i in range(n + 1):
-            prod = MONO_MUL[slots[i]][slots[i + 1]]
-            for m in AlgebraElement(prod).monomials():
-                if 0 < i < n and m == UNIT:
-                    continue  # normalized quotient kills interior units
-                new = slots[:i] + (m,) + slots[i + 2 :]
-                acc ^= {BarTensor(new[0], new[1:-1], new[-1])}
+            prod = MONO_MUL[slots[i]][slots[i + 1]]  # a monomial or zero
+            if not prod:
+                continue
+            m = prod.bit_length() - 1
+            if 0 < i < n and m == UNIT:
+                continue  # normalized quotient kills interior units
+            new = slots[:i] + (m,) + slots[i + 2 :]
+            acc ^= {BarTensor(new[0], new[1:-1], new[-1])}
     return BarChain(chain.degree - 1, frozenset(acc))
 
 
@@ -336,15 +338,17 @@ def chain_differential(c: HochschildChain) -> HochschildChain:
     acc: set[ChainTerm] = set()
     for head, mids in c.terms:
         r = len(mids)
-        for m in AlgebraElement(MONO_MUL[head][mids[0]]).monomials():
-            acc ^= {(m, mids[1:])}
+        # each product of two monomials is a monomial or zero
+        prod = MONO_MUL[head][mids[0]]
+        if prod:
+            acc ^= {(prod.bit_length() - 1, mids[1:])}
         for i in range(1, r):
-            for m in AlgebraElement(MONO_MUL[mids[i - 1]][mids[i]]).monomials():
-                if m == UNIT:
-                    continue
-                acc ^= {(head, mids[: i - 1] + (m,) + mids[i + 1 :])}
-        for m in AlgebraElement(MONO_MUL[mids[r - 1]][head]).monomials():
-            acc ^= {(m, mids[: r - 1])}
+            prod = MONO_MUL[mids[i - 1]][mids[i]]
+            if prod > 1:  # neither zero nor the unit
+                acc ^= {(head, mids[: i - 1] + (prod.bit_length() - 1,) + mids[i + 1 :])}
+        prod = MONO_MUL[mids[r - 1]][head]
+        if prod:
+            acc ^= {(prod.bit_length() - 1, mids[: r - 1])}
     return HochschildChain(c.degree - 1, frozenset(acc))
 
 

@@ -15,6 +15,13 @@ tables stay the only source of truth.  psi_bits is the int entry:
 transport_to_bar evaluates a cochain on its packed values through
 minres.evaluate_bits, with no MinResElement or AlgebraElement in between.
 
+delta_matrix(n) is class-level Delta, transport_to_min o bar.bv_delta o
+transport_to_bar on degree-n cochains, as a matrix over the basis cochains.
+It is built in one pass over the interior tuples of phi(n - 1) that extends
+memoized psi tails through the same step tables and skips every zero value,
+and kept per degree until clear_psi_memo, which drops the matrices with the
+memo and the step tables.
+
 Degrees are capped at 8: that is as far as any product or BV computation on
 the 4-periodic resolution needs to go, and it keeps the memo small.
 """
@@ -23,7 +30,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .algebra import UNIT, AlgebraElement
+from .algebra import MONO_MUL, UNIT, XYXY, AlgebraElement, dual_basis, mask_mul
 from .bar import (
     BarChain,
     BarCochain,
@@ -36,6 +43,7 @@ from .bar import (
     shift_in,
 )
 from .minres import (
+    GENERATOR_COUNTS,
     MinCochain,
     MinResElement,
     differential_formulas,
@@ -122,18 +130,22 @@ def _psi_fill(mids: Mids) -> int:
         k += 1
     bits = _PSI_MEMO[mids[k:]] if k < n else MinResElement.generator(0, 0).bits
     for i in range(k - 1, -1, -1):
-        index = (n - i - 1) % 4 * 8 + mids[i]
-        table = _STEP_TABLES[index]
-        if table is None:
-            table = _STEP_TABLES[index] = homotopy_step_table(n - i - 1, mids[i])
-        acc = 0
-        while bits:
-            low = bits & -bits
-            acc ^= table[low.bit_length() - 1]
-            bits ^= low
-        bits = acc
-        _PSI_MEMO[mids[i:]] = bits
+        bits = _PSI_MEMO[mids[i:]] = _step(bits, n - i - 1, mids[i])
     return bits
+
+
+def _step(bits: int, r: int, m: int) -> int:
+    """Packed t_r(m e) for the packed element e = bits of P_r, by its step table."""
+    index = r % 4 * 8 + m
+    table = _STEP_TABLES[index]
+    if table is None:
+        table = _STEP_TABLES[index] = homotopy_step_table(r, m)
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= table[low.bit_length() - 1]
+        bits ^= low
+    return acc
 
 
 def psi_on_chain(chain: BarChain) -> MinResElement:
@@ -148,9 +160,13 @@ def psi_on_chain(chain: BarChain) -> MinResElement:
 
 
 def clear_psi_memo() -> None:
-    """Drop the psi memo and the step tables; both are rebuilt from HOMOTOPY_TABLES on use."""
+    """Drop the psi memo, the step tables and the Delta matrices built from them.
+
+    Each is rebuilt from HOMOTOPY_TABLES as it stands at the next use.
+    """
     _PSI_MEMO.clear()
     _STEP_TABLES[:] = [None] * len(_STEP_TABLES)
+    _DELTA_MATRICES.clear()
 
 
 def transport_to_bar(f: MinCochain) -> BarCochain:
@@ -164,6 +180,87 @@ def transport_to_min(g: BarCochain) -> MinCochain:
     n = g.degree
     values = tuple(evaluate_on_chain(g, chain) for chain in phi(n))
     return MinCochain(n, values)
+
+
+# ---------------------------------------------------------------------------
+# Class-level Delta as a matrix
+# ---------------------------------------------------------------------------
+
+
+#: bit k of _EPSILON[8*left + right] is the xyxy coefficient of left e_k right,
+#: so _EPSILON[i & 63] << 8*slot is the socle covector of packed bit i of P_n
+_EPSILON: tuple[int, ...] = tuple(
+    sum(1 << k for k in range(8) if mask_mul(MONO_MUL[left][k], 1 << right) >> XYXY & 1)
+    for left in range(8)
+    for right in range(8)
+)
+
+_DELTA_MATRICES: dict[int, tuple[int, ...]] = {}
+
+
+def delta_matrix(n: int) -> tuple[int, ...]:
+    """Class-level Delta from degree n to degree n - 1 as a GF(2) matrix.
+
+    Entry j is transport_to_min(bv_delta(transport_to_bar(e_j))) for the j-th
+    basis cochain e_j of degree n, packed like hhring.cochain_to_vector (bit
+    8*slot + monomial); there are 8 entries per generator of P_n.  Built on
+    first use, dropped by clear_psi_memo.
+    """
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"degree {n} outside supported range 1..{MAX_DEGREE}")
+    matrix = _DELTA_MATRICES.get(n)
+    if matrix is None:
+        matrix = _DELTA_MATRICES[n] = _build_delta_matrix(n)
+    return matrix
+
+
+def _build_delta_matrix(n: int) -> tuple[int, ...]:
+    """One pass over the distinct interior tuples args of phi(n - 1).
+
+    bv_delta evaluates its argument on the rotations args[i:] + (b,) + args[:i];
+    psi of a rotation is the memoized psi of its tail args[:i] followed by one
+    step per entry b, args[n-2], ..., args[i].  psi is zero on almost every
+    rotation, so a zero tail skips all seven b and a zero step ends the chain.
+    Summed over the rotations, the socle covectors of the psi values give W_b:
+    bit j says whether b* occurs in Delta(e_j)(args).  Each frame left (x) args
+    (x) right of phi(n - 1) then adds left b* right to the image of e_j.
+    """
+    frames: dict[Mids, list[tuple[int, int, int]]] = {}
+    for slot, chain in enumerate(phi(n - 1)):
+        for t in chain.terms:
+            frames.setdefault(t.mids, []).append((8 * slot, t.left, t.right))
+    rows = [0] * (8 * GENERATOR_COUNTS[n % 4])
+    for args, framing in frames.items():
+        covectors = [0] * 8
+        for i in range(n):
+            tail = psi_bits(args[:i])
+            if not tail:
+                continue
+            heads = args[i:][::-1]  # args[n-2], ..., args[i]
+            for b in range(1, 8):
+                bits = _step(tail, i, b)
+                for r, m in enumerate(heads, i + 1):
+                    if not bits:
+                        break
+                    bits = _step(bits, r, m)
+                while bits:
+                    low = bits & -bits
+                    index = low.bit_length() - 1
+                    covectors[b] ^= _EPSILON[index & 63] << (index >> 3 & ~7)
+                    bits ^= low
+        for b in range(1, 8):
+            w = covectors[b]
+            if not w:
+                continue
+            dual = dual_basis(b)
+            image = 0
+            for shift, left, right in framing:
+                image ^= mask_mul(MONO_MUL[left][dual], 1 << right) << shift
+            while w:
+                low = w & -w
+                rows[low.bit_length() - 1] ^= image
+                w ^= low
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Cohomology classes on the minimal resolution and the ring/BV structure.
 
 Classes are cocycles with equality decided modulo coboundaries by exact GF(2)
-linear algebra.  Products, the degree -1 operator, and brackets are computed
-by transporting representatives to the normalized bar complex through psi,
-applying the bar-level operation there, and pulling the result back through
-phi.  The reference tables this module verifies against are the published
-generator catalog, relation list, and structure tables for this algebra.
+linear algebra.  Products and brackets are computed by transporting
+representatives to the normalized bar complex through psi, applying the
+bar-level operation there, and pulling the result back through phi; the
+degree -1 operator applies compare.delta_matrix, the same composite as one
+matrix per degree.  The reference tables this module verifies against are
+the published generator catalog, relation list, and structure tables for
+this algebra.
 """
 from __future__ import annotations
 
@@ -14,8 +16,15 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .algebra import ONE, UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
-from .bar import bracket as bar_bracket, cup as bar_cup, bv_delta
-from .compare import MAX_DEGREE, clear_psi_memo, phi, transport_to_bar, transport_to_min
+from .bar import bracket as bar_bracket, cup as bar_cup
+from .compare import (
+    MAX_DEGREE,
+    clear_psi_memo,
+    delta_matrix,
+    phi,
+    transport_to_bar,
+    transport_to_min,
+)
 from .gf2 import GF2Matrix, GF2Vector, in_span, kernel_basis, rank, row_space_basis, solve
 from .minres import (
     GENERATOR_COUNTS,
@@ -85,8 +94,19 @@ def hh_dim(n: int) -> int:
     return dim - rank_out - rank_in
 
 
+def _reduce(n: int, w: int) -> int:
+    """w modulo the degree-n coboundaries, by the cached RREF rows.
+
+    The pivot of each row is its lowest set bit, and no other row has it.
+    """
+    for b in coboundary_basis_vectors(n):
+        if w & b.bits & -b.bits:
+            w ^= b.bits
+    return w
+
+
 def is_coboundary(f: MinCochain) -> bool:
-    return in_span(cochain_to_vector(f), list(coboundary_basis_vectors(f.degree)))
+    return _reduce(f.degree, cochain_to_vector(f).bits) == 0
 
 
 @dataclass(frozen=True)
@@ -122,11 +142,7 @@ def class_eq(a: CohomologyClass, b: CohomologyClass) -> bool:
 
 def canonical_rep(c: CohomologyClass) -> MinCochain:
     """Deterministic coset representative: reduce modulo the coboundary RREF basis."""
-    w = cochain_to_vector(c.rep).bits
-    for b in coboundary_basis_vectors(c.degree):
-        low = b.bits & -b.bits
-        if w & low:
-            w ^= b.bits
+    w = _reduce(c.degree, cochain_to_vector(c.rep).bits)
     return vector_to_cochain(c.degree, GF2Vector(8 * len(c.rep.values), w))
 
 
@@ -138,10 +154,17 @@ def cup_classes(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
 
 
 def delta_class(a: CohomologyClass) -> CohomologyClass:
+    """The degree -1 operator on a class, by the matrix compare.delta_matrix."""
     if a.degree == 0:
         raise ValueError("degree 0 has no lower degree; the value is the zero class")
-    image = bv_delta(transport_to_bar(a.rep))
-    return CohomologyClass(transport_to_min(image))
+    rows = delta_matrix(a.degree)
+    v = cochain_to_vector(a.rep).bits
+    image = 0
+    for j, row in enumerate(rows):
+        if v >> j & 1:
+            image ^= row
+    n = a.degree - 1
+    return CohomologyClass(vector_to_cochain(n, GF2Vector(8 * GENERATOR_COUNTS[n % 4], image)))
 
 
 def delta_or_zero(a: CohomologyClass) -> CohomologyClass:
@@ -562,9 +585,10 @@ _CACHED_FUNCTIONS = (
 def clear_caches() -> None:
     """Reset every memo built on the resolution tables, psi included.
 
-    Drops the psi memo and step tables, phi, the coboundary bases, the
-    catalog, the memoized monomial classes and the rendering bases; each is
-    rebuilt from the tables as they stand at the next use.
+    Drops the psi memo, the step tables and the Delta matrices, phi, the
+    coboundary bases, the catalog, the memoized monomial classes and the
+    rendering bases; each is rebuilt from the tables as they stand at the
+    next use.
     """
     clear_psi_memo()
     for cached in _CACHED_FUNCTIONS:

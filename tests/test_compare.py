@@ -4,9 +4,9 @@ import itertools
 
 import pytest
 
-from q8bv import cli, compare, minres
+from q8bv import cli, compare, hhring, minres
 from q8bv.algebra import MONO_MUL, UNIT, X, XY, XYX, XYXY, Y, YX, AlgebraElement
-from q8bv.bar import BarChain, BarTensor
+from q8bv.bar import BarChain, BarTensor, bv_delta
 from q8bv.compare import (
     phi,
     phi_reference,
@@ -15,7 +15,8 @@ from q8bv.compare import (
     transport_to_min,
     verify_chain_maps,
 )
-from q8bv.hhring import catalog, class_of_monomial, delta_class
+from q8bv.gf2 import GF2Vector
+from q8bv.hhring import catalog, class_of_monomial, cochain_to_vector, delta_class, vector_to_cochain
 from q8bv.minres import MinCochain, MinResElement
 
 MONO = [AlgebraElement.monomial(i) for i in range(8)]
@@ -226,3 +227,38 @@ def test_transport_round_trip_degree_zero():
 def test_transport_of_zero_is_zero():
     f = MinCochain(2, (AlgebraElement.zero(), AlgebraElement.zero()))
     assert not transport_to_min(transport_to_bar(f))
+
+
+def test_delta_matrix_matches_the_bar_composition_on_every_basis_cochain():
+    for n in range(1, compare.MAX_DEGREE + 1):
+        dim = 8 * minres.GENERATOR_COUNTS[n % 4]
+        matrix = compare.delta_matrix(n)
+        assert len(matrix) == dim
+        for j in range(dim):
+            e = vector_to_cochain(n, GF2Vector(dim, 1 << j))
+            expected = transport_to_min(bv_delta(transport_to_bar(e)))
+            assert matrix[j] == cochain_to_vector(expected).bits, (n, j)
+
+
+def test_delta_matrix_is_rebuilt_from_the_homotopy_tables_after_clear_psi_memo(monkeypatch):
+    degrees = range(1, compare.MAX_DEGREE + 1)
+    warm = {n: compare.delta_matrix(n) for n in degrees}
+    tables = list(minres.HOMOTOPY_TABLES)
+    broken = dict(tables[1])
+    broken[(X, 0)] = ()  # t1(x (x) x (x) 1) should be 1 (x) rx (x) 1
+    tables[1] = broken
+    monkeypatch.setattr(minres, "HOMOTOPY_TABLES", tuple(tables))
+    compare.clear_psi_memo()
+    try:
+        moved = [n for n in degrees if compare.delta_matrix(n) != warm[n]]
+        assert moved == [2, 3, 5, 6, 7]
+    finally:
+        monkeypatch.undo()
+        hhring.clear_caches()
+    assert {n: compare.delta_matrix(n) for n in degrees} == warm
+
+
+def test_delta_matrix_rejects_degrees_outside_one_to_eight():
+    for n in (0, 9, -1):
+        with pytest.raises(ValueError, match=r"range 1\.\.8"):
+            compare.delta_matrix(n)

@@ -184,6 +184,12 @@ def test_delta_rejects_degree_zero():
         delta_class(catalog()["p1"])
 
 
+def test_delta_rejects_degree_nine():
+    nine = CohomologyClass(MinCochain(9, catalog()["u1"].rep.values))  # u1 shifted by z^2
+    with pytest.raises(ValueError, match=r"range 1\.\.8"):
+        delta_class(nine)
+
+
 def test_delta_spot_values():
     cat = catalog()
     assert class_eq(delta_class(class_of_monomial(("p2", "u1"))), cat["p1"])
