@@ -9,8 +9,8 @@ directions (compare), cohomology classes with exact class arithmetic
 (hhring), and a verification/tabulation command line (cli).
 """
 
-from .algebra import AlgebraElement, GroupAlgebraOracle, bilinear_form, dual_basis, multiply
-from .bar import BarChain, BarCochain, BarTensor, HochschildChain
+from .algebra import AlgebraElement, GroupAlgebraOracle, bilinear_form, dual_basis
+from .bar import BarChain, BarCochain, HochschildChain
 from .compare import phi, psi, transport_to_bar, transport_to_min, verify_chain_maps
 from .gf2 import GF2Matrix, GF2Vector, in_span, kernel_basis, rank, solve
 from .hhring import (
@@ -32,7 +32,6 @@ __all__ = [
     "AlgebraElement",
     "BarChain",
     "BarCochain",
-    "BarTensor",
     "CohomologyClass",
     "GF2Matrix",
     "GF2Vector",
@@ -53,7 +52,6 @@ __all__ = [
     "in_span",
     "kernel_basis",
     "min_differential",
-    "multiply",
     "phi",
     "psi",
     "rank",

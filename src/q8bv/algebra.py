@@ -11,11 +11,14 @@ group algebra of the quaternion group of order 8 over GF(4), into which A
 embeds by x -> (1+i) + w(1+j) + w^2(1+k) with w a primitive cube root of
 unity.  (Over GF(2) itself no such embedding exists; the two algebras only
 become isomorphic after the quadratic field extension.)
+
+The module also owns the packed layout of free A-bimodules that minres and
+bar share: place, rows, left_act, right_act and evaluate_bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .gf2 import GF2Vector
 
@@ -150,11 +153,6 @@ ZERO = AlgebraElement.zero()
 ONE = AlgebraElement.one()
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the monomial multiplication table."""
-    return a * b
-
-
 def bilinear_form(a: AlgebraElement, b: AlgebraElement) -> int:
     """Symmetrizing form: the xyxy coefficient of a*b."""
     return (a * b).coefficient(XYXY)
@@ -181,6 +179,62 @@ def bimodule_derivation(m: int) -> tuple[tuple[int, int, int], ...]:
         (WORD_INDEX[word[:j]], WORD_INDEX[word[j]], WORD_INDEX[word[j + 1 :]])
         for j in range(len(word))
     )
+
+
+# ---------------------------------------------------------------------------
+# Packed free A-bimodules: an element with generators gen_0, gen_1, ... is
+# one int, bit (slot*8 + left)*8 + right for the term left (x) gen_slot (x)
+# right, so the eight bits of a (slot, left) row are a coefficient mask over
+# the right monomials.  P_n of minres has a slot per generator; the outer
+# frames of a bar chain around one interior tuple are a one-slot element.
+# ---------------------------------------------------------------------------
+
+
+def place(lefts: int, slot: int, rights: int) -> int:
+    """Packed sum of l (x) gen_slot (x) rights over the monomials l of the mask lefts."""
+    out = 0
+    while lefts:
+        low = lefts & -lefts
+        out ^= rights << ((slot << 3 | low.bit_length() - 1) << 3)
+        lefts ^= low
+    return out
+
+
+def rows(bits: int) -> Iterator[tuple[int, int, int]]:
+    """The nonzero rows of a packed element as (slot, left, mask of right monomials)."""
+    while bits:
+        shift = (bits & -bits).bit_length() - 1 & ~7
+        rights = bits >> shift & 0xFF
+        bits ^= rights << shift
+        yield shift >> 6, shift >> 3 & 7, rights
+
+
+def left_act(a: int, bits: int) -> int:
+    """a . bits for a coefficient mask a: multiplies every left frame."""
+    acc = 0
+    for slot, left, rights in rows(bits):
+        acc ^= place(mask_mul(a, 1 << left), slot, rights)
+    return acc
+
+
+def right_act(bits: int, a: int) -> int:
+    """bits . a for a coefficient mask a: multiplies every right frame."""
+    acc = 0
+    for slot, left, rights in rows(bits):
+        acc ^= mask_mul(rights, a) << ((slot << 3 | left) << 3)
+    return acc
+
+
+def evaluate_bits(values: Sequence[int], bits: int) -> int:
+    """The bimodule map gen_slot -> values[slot] on a packed element.
+
+    values are coefficient masks; the result is the sum of
+    left * values[slot] * rights over the rows of bits.
+    """
+    acc = 0
+    for slot, left, rights in rows(bits):
+        acc ^= mask_mul(mask_mul(1 << left, values[slot]), rights)
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -11,79 +11,105 @@ memo stores masks, composites read their operands through BarCochain.mask
 and multiply with mask_mul, and only the public call wraps a value in an
 AlgebraElement.  Each circle product and each bracket is one flat cochain
 that loops over every insertion slot.
+
+A chain maps each interior tuple to one nonzero int (TermSum): a bar chain
+stores its outer frames as a one-slot element of the packed bimodule layout
+of algebra, which minres uses for P_n, so both multiply frames through
+algebra.left_act and algebra.right_act; a Hochschild chain stores the
+coefficient mask of its heads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
-from .algebra import UNIT, XYXY, AlgebraElement, MONO_MUL, dual_basis, mask_mul
+from .algebra import MONO_MUL, UNIT, XYXY, AlgebraElement, dual_basis, mask_mul
+from .algebra import evaluate_bits, left_act, place, right_act, rows
 
 Mids = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class BarTensor:
-    """Basis tensor left (x) m1 (x) ... (x) mn (x) right of the bar resolution."""
+class TermSum:
+    """GF(2) sum of basis terms of one degree, grouped by interior tuple.
 
-    left: int
-    mids: Mids
-    right: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.mids)
-
-
-@dataclass(frozen=True)
-class BarChain:
-    """GF(2) set of bar tensors of a common degree."""
+    terms maps a tuple of non-unit monomials to the nonzero int that packs
+    the coefficients around it; no stored value is zero, so equal sums
+    compare equal.
+    """
 
     degree: int
-    terms: frozenset[BarTensor]
+    terms: dict[Mids, int]
 
     @classmethod
-    def zero(cls, degree: int) -> "BarChain":
-        return cls(degree, frozenset())
+    def zero(cls, degree: int):
+        return cls(degree, {})
 
     @classmethod
-    def of(cls, degree: int, tensors: Iterable[BarTensor]) -> "BarChain":
-        acc: set[BarTensor] = set()
-        for t in tensors:
-            if t.degree != degree:
-                raise ValueError("degree mismatch")
-            acc ^= {t}
-        return cls(degree, frozenset(acc))
+    def from_dict(cls, degree: int, terms: dict[Mids, int]):
+        """The sum with value terms[mids] at mids; takes the dict, drops zero values."""
+        if 0 in terms.values():
+            terms = {mids: bits for mids, bits in terms.items() if bits}
+        return cls(degree, terms)
 
-    def __add__(self, other: "BarChain") -> "BarChain":
+    @classmethod
+    def of(cls, degree: int, terms: Iterable[Any]):
+        """Sum of basis terms, each in the form the _pack of the subclass reads."""
+        acc: dict[Mids, int] = {}
+        for term in terms:
+            mids, bits = cls._pack(term)
+            if len(mids) != degree:
+                raise ValueError(f"term {term!r} does not have degree {degree}")
+            for m in mids:
+                if not 0 < m < 8:
+                    raise ValueError(
+                        f"interior entry {m!r} of {term!r} is not a non-unit monomial 1..7"
+                    )
+            acc[mids] = acc.get(mids, 0) ^ bits
+        return cls.from_dict(degree, acc)
+
+    def __add__(self, other: "TermSum"):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return BarChain(self.degree, self.terms ^ other.terms)
+        acc = dict(self.terms)
+        for mids, bits in other.terms.items():
+            acc[mids] = acc.get(mids, 0) ^ bits
+        return self.from_dict(self.degree, acc)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
 
+class BarChain(TermSum):
+    """Chain of the bar resolution, sum of left (x) m1 (x) ... (x) mn (x) right.
+
+    The value at mids packs its outer frames as a one-slot element of the
+    packed bimodule layout of algebra: bit 8*left + right.
+    """
+
+    @staticmethod
+    def _pack(term: tuple[int, Mids, int]) -> tuple[Mids, int]:
+        left, mids, right = term
+        for name, index in (("left frame", left), ("right frame", right)):
+            if not 0 <= index < 8:
+                raise ValueError(f"{name} {index!r} of {term!r} is not a monomial 0..7")
+        return tuple(mids), place(1 << left, 0, 1 << right)
+
+
 def left_multiply(a: AlgebraElement, chain: BarChain) -> BarChain:
-    """Left module action on the outer left slot."""
-    acc: set[BarTensor] = set()
-    for t in chain.terms:
-        for m in a.monomials():
-            prod = MONO_MUL[m][t.left]  # a monomial or zero
-            if prod:
-                acc ^= {BarTensor(prod.bit_length() - 1, t.mids, t.right)}
-    return BarChain(chain.degree, frozenset(acc))
+    """Left module action on the outer left frames."""
+    return BarChain.from_dict(
+        chain.degree, {mids: left_act(a.bits, frames) for mids, frames in chain.terms.items()}
+    )
 
 
 def right_multiply(chain: BarChain, a: AlgebraElement) -> BarChain:
-    """Right module action on the outer right slot."""
-    acc: set[BarTensor] = set()
-    for t in chain.terms:
-        for m in a.monomials():
-            prod = MONO_MUL[t.right][m]  # a monomial or zero
-            if prod:
-                acc ^= {BarTensor(t.left, t.mids, prod.bit_length() - 1)}
-    return BarChain(chain.degree, frozenset(acc))
+    """Right module action on the outer right frames."""
+    return BarChain.from_dict(
+        chain.degree, {mids: right_act(frames, a.bits) for mids, frames in chain.terms.items()}
+    )
 
 
 def shift_in(chain: BarChain) -> BarChain:
@@ -92,32 +118,37 @@ def shift_in(chain: BarChain) -> BarChain:
     Sends a0 (x) m (x) right to 1 (x) a0 (x) m (x) right; a0 entering an
     interior slot kills the term when it is the unit.
     """
-    acc: set[BarTensor] = set()
-    for t in chain.terms:
-        if t.left == UNIT:
-            continue
-        acc ^= {BarTensor(UNIT, (t.left,) + t.mids, t.right)}
-    return BarChain(chain.degree + 1, frozenset(acc))
+    acc: dict[Mids, int] = {}
+    for mids, frames in chain.terms.items():
+        for _, left, rights in rows(frames):
+            if left != UNIT:
+                acc[(left,) + mids] = place(1 << UNIT, 0, rights)
+    return BarChain(chain.degree + 1, acc)
+
+
+def _inner_faces(acc: dict[Mids, int], mids: Mids, bits: int) -> None:
+    """Add bits at every neighbor product of mids that is neither zero nor the unit."""
+    for i in range(1, len(mids)):
+        prod = MONO_MUL[mids[i - 1]][mids[i]]  # a monomial or zero
+        if prod > 1:
+            key = mids[: i - 1] + (prod.bit_length() - 1,) + mids[i + 1 :]
+            acc[key] = acc.get(key, 0) ^ bits
 
 
 def bar_differential(chain: BarChain) -> BarChain:
     """Sum of neighbor multiplications; degree drops by one."""
     if chain.degree < 1:
         raise ValueError("bar differential needs degree >= 1")
-    acc: set[BarTensor] = set()
-    for t in chain.terms:
-        n = t.degree
-        slots = (t.left,) + t.mids + (t.right,)
-        for i in range(n + 1):
-            prod = MONO_MUL[slots[i]][slots[i + 1]]  # a monomial or zero
-            if not prod:
-                continue
-            m = prod.bit_length() - 1
-            if 0 < i < n and m == UNIT:
-                continue  # normalized quotient kills interior units
-            new = slots[:i] + (m,) + slots[i + 2 :]
-            acc ^= {BarTensor(new[0], new[1:-1], new[-1])}
-    return BarChain(chain.degree - 1, frozenset(acc))
+    acc: dict[Mids, int] = {}
+    for mids, frames in chain.terms.items():
+        first = last = 0
+        for _, left, rights in rows(frames):
+            first ^= place(MONO_MUL[left][mids[0]], 0, rights)  # left . m1
+            last ^= place(1 << left, 0, mask_mul(1 << mids[-1], rights))  # mn . rights
+        acc[mids[1:]] = acc.get(mids[1:], 0) ^ first
+        acc[mids[:-1]] = acc.get(mids[:-1], 0) ^ last
+        _inner_faces(acc, mids, frames)
+    return BarChain.from_dict(chain.degree - 1, acc)
 
 
 class BarCochain:
@@ -174,10 +205,10 @@ def evaluate_on_chain(f: BarCochain, chain: BarChain) -> AlgebraElement:
     if chain.degree != f.degree:
         raise ValueError(f"cochain of degree {f.degree} on a chain of degree {chain.degree}")
     acc = 0
-    for t in chain.terms:
-        value = f.mask(t.mids)
+    for mids, frames in chain.terms.items():
+        value = f.mask(mids)
         if value:
-            acc ^= mask_mul(mask_mul(1 << t.left, value), 1 << t.right)
+            acc ^= evaluate_bits((value,), frames)
     return AlgebraElement(acc)
 
 
@@ -206,15 +237,16 @@ def cup(f: BarCochain, g: BarCochain) -> BarCochain:
     return BarCochain(n + g.degree, fn)
 
 
-def _non_unit_monomials() -> tuple[tuple[int, ...], ...]:
+def _mask_monomials() -> tuple[tuple[int, ...], ...]:
     table: list[tuple[int, ...]] = [()]
-    for i in range(1, 8):
+    for i in range(8):
         table += [t + (i,) for t in table]
     return tuple(table)
 
 
-#: _NON_UNIT[mask >> 1] lists the non-unit monomials of a coefficient mask
-_NON_UNIT = _non_unit_monomials()
+#: _MONOMIALS[mask] lists the monomials of a coefficient mask in increasing
+#: order; _MONOMIALS[mask & 0xFE] lists its non-unit ones
+_MONOMIALS = _mask_monomials()
 
 
 def _insert(fmask, gmask, m: int, slots: range, args: Mids) -> int:
@@ -226,7 +258,7 @@ def _insert(fmask, gmask, m: int, slots: range, args: Mids) -> int:
     """
     acc = 0
     for s in slots:
-        monos = _NON_UNIT[gmask(args[s : s + m]) >> 1]
+        monos = _MONOMIALS[gmask(args[s : s + m]) & 0xFE]
         if monos:
             head, tail = args[:s], args[s + m :]
             for mono in monos:
@@ -297,59 +329,34 @@ def bv_delta(f: BarCochain) -> BarCochain:
 # Hochschild chains and the Connes operator
 # ---------------------------------------------------------------------------
 
-ChainTerm = tuple[int, Mids]  # (head in A, interior non-unit monomials)
+class HochschildChain(TermSum):
+    """Normalized Hochschild chain, sum of head (x) m1 (x) ... (x) mn.
 
+    The value at mids is the coefficient mask of its heads.
+    """
 
-@dataclass(frozen=True)
-class HochschildChain:
-    """GF(2) set of normalized Hochschild chain basis elements."""
-
-    degree: int
-    terms: frozenset[ChainTerm]
-
-    @classmethod
-    def zero(cls, degree: int) -> "HochschildChain":
-        return cls(degree, frozenset())
-
-    @classmethod
-    def of(cls, degree: int, terms: Iterable[ChainTerm]) -> "HochschildChain":
-        acc: set[ChainTerm] = set()
-        for head, mids in terms:
-            if len(mids) != degree:
-                raise ValueError("degree mismatch")
-            if any(m == UNIT for m in mids):
-                raise ValueError("interior slots must be non-unit monomials")
-            acc ^= {(head, mids)}
-        return cls(degree, frozenset(acc))
-
-    def __add__(self, other: "HochschildChain") -> "HochschildChain":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return HochschildChain(self.degree, self.terms ^ other.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    @staticmethod
+    def _pack(term: tuple[int, Mids]) -> tuple[Mids, int]:
+        head, mids = term
+        if not 0 <= head < 8:
+            raise ValueError(f"head {head!r} of {term!r} is not a monomial 0..7")
+        return tuple(mids), 1 << head
 
 
 def chain_differential(c: HochschildChain) -> HochschildChain:
     """Neighbor products plus the wrap-around term."""
     if c.degree < 1:
         raise ValueError("chain differential needs degree >= 1")
-    acc: set[ChainTerm] = set()
-    for head, mids in c.terms:
-        r = len(mids)
-        # each product of two monomials is a monomial or zero
-        prod = MONO_MUL[head][mids[0]]
-        if prod:
-            acc ^= {(prod.bit_length() - 1, mids[1:])}
-        for i in range(1, r):
-            prod = MONO_MUL[mids[i - 1]][mids[i]]
-            if prod > 1:  # neither zero nor the unit
-                acc ^= {(head, mids[: i - 1] + (prod.bit_length() - 1,) + mids[i + 1 :])}
-        prod = MONO_MUL[mids[r - 1]][head]
-        if prod:
-            acc ^= {(prod.bit_length() - 1, mids[: r - 1])}
-    return HochschildChain(c.degree - 1, frozenset(acc))
+    acc: dict[Mids, int] = {}
+    for mids, heads in c.terms.items():
+        front = back = 0
+        for head in _MONOMIALS[heads]:
+            front ^= MONO_MUL[head][mids[0]]
+            back ^= MONO_MUL[mids[-1]][head]
+        acc[mids[1:]] = acc.get(mids[1:], 0) ^ front
+        _inner_faces(acc, mids, heads)
+        acc[mids[:-1]] = acc.get(mids[:-1], 0) ^ back
+    return HochschildChain.from_dict(c.degree - 1, acc)
 
 
 def connes_b(c: HochschildChain) -> HochschildChain:
@@ -359,11 +366,11 @@ def connes_b(c: HochschildChain) -> HochschildChain:
     unit head vanish and only the first sum of the unnormalized formula
     survives.
     """
-    acc: set[ChainTerm] = set()
-    for head, mids in c.terms:
-        if head == UNIT:
-            continue
-        cyc = (head,) + mids
-        for i in range(len(cyc)):
-            acc ^= {(UNIT, cyc[i:] + cyc[:i])}
-    return HochschildChain(c.degree + 1, frozenset(acc))
+    acc: dict[Mids, int] = {}
+    for mids, heads in c.terms.items():
+        for head in _MONOMIALS[heads & 0xFE]:
+            cyc = (head,) + mids
+            for i in range(len(cyc)):
+                key = cyc[i:] + cyc[:i]
+                acc[key] = acc.get(key, 0) ^ (1 << UNIT)
+    return HochschildChain.from_dict(c.degree + 1, acc)

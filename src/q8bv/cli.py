@@ -286,10 +286,10 @@ def suite_bv() -> Report:
         df = bar.bv_delta(f)
         ok = True
         for c in _chain_basis(rep.degree - 1):
-            ((head, mids),) = c.terms
-            lhs = algebra.bilinear_form(df(mids), AlgebraElement.monomial(head))
+            ((mids, heads),) = c.terms.items()
+            lhs = algebra.bilinear_form(df(mids), AlgebraElement(heads))
             rhs = 0
-            for _, bmids in bar.connes_b(c).terms:
+            for bmids in bar.connes_b(c).terms:
                 rhs ^= algebra.socle_pairing_with_one(f(bmids))
             if lhs != rhs:
                 ok = False

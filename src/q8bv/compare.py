@@ -6,14 +6,14 @@ is built from the weak self-homotopy t_*.  Both satisfy the chain-map
 identities by construction; verify_chain_maps re-checks them on explicit
 arguments to guard the stored tables.
 
-psi is memoized per interior tuple as a packed P_n value (an int; the bit
-layout belongs to minres).  A miss extends the longest memoized tail one
-entry at a time through step tables, the per-bit images of t_r o (m . -),
-which are built on first use from minres.HOMOTOPY_TABLES as it stands then;
-clear_psi_memo drops the memo and the step tables together, so the hand
-tables stay the only source of truth.  psi_bits is the int entry:
+psi is memoized per interior tuple as a packed P_n value (an int in the
+packed bimodule layout of algebra).  A miss extends the longest memoized
+tail one entry at a time through step tables, the per-bit images of
+t_r o (m . -), which are built on first use from minres.HOMOTOPY_TABLES as
+it stands then; clear_psi_memo drops the memo and the step tables together,
+so the hand tables stay the only source of truth.  psi_bits is the int entry:
 transport_to_bar evaluates a cochain on its packed values through
-minres.evaluate_bits, with no MinResElement or AlgebraElement in between.
+algebra.evaluate_bits, with no MinResElement or AlgebraElement in between.
 
 delta_matrix(n) is class-level Delta, transport_to_min o bar.bv_delta o
 transport_to_bar on degree-n cochains, as a matrix over the basis cochains.
@@ -31,10 +31,10 @@ import itertools
 from functools import lru_cache
 
 from .algebra import MONO_MUL, UNIT, XYXY, AlgebraElement, dual_basis, mask_mul
+from .algebra import evaluate_bits, left_act, right_act, rows
 from .bar import (
     BarChain,
     BarCochain,
-    BarTensor,
     Mids,
     bar_differential,
     evaluate_on_chain,
@@ -47,12 +47,9 @@ from .minres import (
     MinCochain,
     MinResElement,
     differential_formulas,
-    evaluate_bits,
     generators,
     homotopy_step_table,
-    left_multiply as min_left_multiply,
     min_differential,
-    right_multiply as min_right_multiply,
 )
 from .report import Check, Report
 
@@ -65,31 +62,22 @@ def phi(n: int) -> tuple[BarChain, ...]:
     if not 0 <= n <= MAX_DEGREE:
         raise ValueError(f"degree {n} outside supported range 0..{MAX_DEGREE}")
     if n == 0:
-        return (BarChain.of(0, [BarTensor(UNIT, (), UNIT)]),)
-    below = phi(n - 1)
-    out = []
-    for formula in differential_formulas(n):
-        acc = BarChain.zero(n)
-        for a, slot, b in formula.radical_terms:
-            framed = right_multiply(
-                left_multiply(AlgebraElement.monomial(a), below[slot]),
-                AlgebraElement.monomial(b),
-            )
-            acc = acc + shift_in(framed)
-        out.append(acc)
-    return tuple(out)
+        return (BarChain.of(0, [(UNIT, (), UNIT)]),)
+    # phi = s o phi o d on generators, and s kills the images of unit-left terms of d
+    return tuple(
+        shift_in(phi_on_element(MinResElement.of(n - 1, formula.radical_terms)))
+        for formula in differential_formulas(n)
+    )
 
 
 def phi_on_element(e: MinResElement) -> BarChain:
     """Bimodule-linear extension of phi to arbitrary elements of P_n."""
-    acc = BarChain.zero(e.degree)
     table = phi(e.degree)
-    for left, slot, right in e.terms():
-        acc = acc + right_multiply(
-            left_multiply(AlgebraElement.monomial(left), table[slot]),
-            AlgebraElement.monomial(right),
-        )
-    return acc
+    acc: dict[Mids, int] = {}
+    for slot, left, rights in rows(e.bits):
+        for mids, frames in table[slot].terms.items():
+            acc[mids] = acc.get(mids, 0) ^ right_act(left_act(1 << left, frames), rights)
+    return BarChain.from_dict(e.degree, acc)
 
 
 _PSI_MEMO: dict[Mids, int] = {}
@@ -150,13 +138,12 @@ def _step(bits: int, r: int, m: int) -> int:
 
 def psi_on_chain(chain: BarChain) -> MinResElement:
     """Bimodule-linear extension of psi to bar chains with outer frames."""
-    acc = MinResElement.zero(chain.degree)
-    for t in chain.terms:
-        acc = acc + min_right_multiply(
-            min_left_multiply(AlgebraElement.monomial(t.left), psi(t.degree, t.mids)),
-            AlgebraElement.monomial(t.right),
-        )
-    return acc
+    acc = 0
+    for mids, frames in chain.terms.items():
+        value = psi_bits(mids)
+        for _, left, rights in rows(frames):
+            acc ^= right_act(left_act(1 << left, value), rights)
+    return MinResElement(chain.degree, acc)
 
 
 def clear_psi_memo() -> None:
@@ -215,22 +202,23 @@ def delta_matrix(n: int) -> tuple[int, ...]:
 
 
 def _build_delta_matrix(n: int) -> tuple[int, ...]:
-    """One pass over the distinct interior tuples args of phi(n - 1).
+    """One pass over the interior tuples args of the chains phi(n - 1).
 
     bv_delta evaluates its argument on the rotations args[i:] + (b,) + args[:i];
     psi of a rotation is the memoized psi of its tail args[:i] followed by one
     step per entry b, args[n-2], ..., args[i].  psi is zero on almost every
     rotation, so a zero tail skips all seven b and a zero step ends the chain.
     Summed over the rotations, the socle covectors of the psi values give W_b:
-    bit j says whether b* occurs in Delta(e_j)(args).  Each frame left (x) args
-    (x) right of phi(n - 1) then adds left b* right to the image of e_j.
+    bit j says whether b* occurs in Delta(e_j)(args).  The frames of args in
+    phi(n - 1)[slot] then add the sum of left b* right to the image of e_j.
     """
-    frames: dict[Mids, list[tuple[int, int, int]]] = {}
-    for slot, chain in enumerate(phi(n - 1)):
-        for t in chain.terms:
-            frames.setdefault(t.mids, []).append((8 * slot, t.left, t.right))
-    rows = [0] * (8 * GENERATOR_COUNTS[n % 4])
-    for args, framing in frames.items():
+    matrix = [0] * (8 * GENERATOR_COUNTS[n % 4])
+    framed = (
+        (slot, args, frames)
+        for slot, chain in enumerate(phi(n - 1))
+        for args, frames in chain.terms.items()
+    )
+    for slot, args, frames in framed:
         covectors = [0] * 8
         for i in range(n):
             tail = psi_bits(args[:i])
@@ -252,15 +240,12 @@ def _build_delta_matrix(n: int) -> tuple[int, ...]:
             w = covectors[b]
             if not w:
                 continue
-            dual = dual_basis(b)
-            image = 0
-            for shift, left, right in framing:
-                image ^= mask_mul(MONO_MUL[left][dual], 1 << right) << shift
+            image = evaluate_bits((1 << dual_basis(b),), frames) << 8 * slot
             while w:
                 low = w & -w
-                rows[low.bit_length() - 1] ^= image
+                matrix[low.bit_length() - 1] ^= image
                 w ^= low
-    return tuple(rows)
+    return tuple(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +264,7 @@ def phi_reference(n: int) -> tuple[BarChain, ...]:
     from .algebra import X, Y, XY, YX, dual_basis
 
     def chain(*tensors: tuple[int, tuple[int, ...], int]) -> BarChain:
-        return BarChain.of(
-            len(tensors[0][1]) if tensors else 0,
-            [BarTensor(l, m, r) for l, m, r in tensors],
-        )
+        return BarChain.of(len(tensors[0][1]) if tensors else 0, tensors)
 
     if n == 0:
         return (chain((UNIT, (), UNIT)),)
@@ -329,7 +311,7 @@ def phi_reference(n: int) -> tuple[BarChain, ...]:
 
 
 def _bar_basis_tensor(mids: Mids) -> BarChain:
-    return BarChain.of(len(mids), [BarTensor(UNIT, mids, UNIT)])
+    return BarChain.of(len(mids), [(UNIT, mids, UNIT)])
 
 
 def verify_chain_maps(max_degree: int = 6) -> Report:
@@ -364,9 +346,8 @@ def verify_chain_maps(max_degree: int = 6) -> Report:
     fails = []
     for n in range(4, max_degree + 1):
         seen: set[Mids] = set()
-        for slot in generators(n):
-            for t in phi(n)[slot].terms:
-                seen.add(t.mids)
+        for chain in phi(n):
+            seen.update(chain.terms)
         for mids in sorted(seen):
             lhs = min_differential(psi(n, mids))
             rhs = psi_on_chain(bar_differential(_bar_basis_tensor(mids)))

@@ -23,16 +23,6 @@ class GF2Vector:
         if self.bits < 0 or self.bits >> self.n:
             raise ValueError(f"bits out of range for length {self.n}")
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "GF2Vector":
-        bits = 0
-        n = 0
-        for c in coeffs:
-            if c & 1:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
-
     def __add__(self, other: "GF2Vector") -> "GF2Vector":
         if self.n != other.n:
             raise ValueError("length mismatch")
@@ -43,9 +33,6 @@ class GF2Vector:
 
     def is_zero(self) -> bool:
         return self.bits == 0
-
-    def coeffs(self) -> list[int]:
-        return [self.bits >> i & 1 for i in range(self.n)]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .compare import (
     transport_to_bar,
     transport_to_min,
 )
-from .gf2 import GF2Matrix, GF2Vector, in_span, kernel_basis, rank, row_space_basis, solve
+from .gf2 import GF2Matrix, GF2Vector, kernel_basis, rank, row_space_basis, solve
 from .minres import (
     GENERATOR_COUNTS,
     MinCochain,
@@ -531,24 +531,27 @@ def seven_term_identity(a: str, b: str, c: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _rendering_basis(degree: int) -> tuple[list[Monomial], list[GF2Vector]]:
-    """Greedy independent set of monomial classes spanning the degree."""
-    cob = list(coboundary_basis_vectors(degree))
+@lru_cache(maxsize=None)
+def _rendering_basis_cached(degree: int) -> tuple[tuple[Monomial, ...], tuple[GF2Vector, ...]]:
+    """Greedy independent set of monomial classes spanning the degree, with their vectors.
+
+    Each candidate is reduced against a pivot set, keyed by lowest set bit,
+    that starts from the coboundary RREF rows and gains the reduced vector of
+    every monomial chosen so far; a nonzero remainder means independence.
+    """
+    pivots = {b.bits & -b.bits: b.bits for b in coboundary_basis_vectors(degree)}
     chosen: list[Monomial] = []
     vectors: list[GF2Vector] = []
     for mono in sorted(_candidate_monomials(degree), key=lambda m: (len(m), m)):
         vec = cochain_to_vector(class_of_monomial(mono).rep)
-        if in_span(vec, cob + vectors):
-            continue
-        chosen.append(mono)
-        vectors.append(vec)
-    return chosen, vectors
-
-
-@lru_cache(maxsize=None)
-def _rendering_basis_cached(degree: int) -> tuple[tuple[Monomial, ...], tuple[GF2Vector, ...]]:
-    monos, vecs = _rendering_basis(degree)
-    return tuple(monos), tuple(vecs)
+        w = vec.bits
+        while w and w & -w in pivots:
+            w ^= pivots[w & -w]
+        if w:
+            pivots[w & -w] = w
+            chosen.append(mono)
+            vectors.append(vec)
+    return tuple(chosen), tuple(vectors)
 
 
 def render_class(c: CohomologyClass) -> str:

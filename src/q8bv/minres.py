@@ -8,6 +8,8 @@ Shape (repeating with period 4):
 
 Differential and homotopy value tables are stored on arguments of the form
 (basis monomial) (x) generator (x) 1 and extended by right A-linearity.
+An element of P_n is one int in the packed free-bimodule layout of
+algebra, which the bar chains also use for their outer frames.
 """
 from __future__ import annotations
 
@@ -28,7 +30,12 @@ from .algebra import (
     BASIS_NAMES,
     bimodule_derivation,
     dual_basis,
+    evaluate_bits,
+    left_act,
     mask_mul,
+    place,
+    right_act,
+    rows,
 )
 from .report import Check, Report
 
@@ -44,31 +51,6 @@ def generators(degree: int) -> range:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return range(GENERATOR_COUNTS[degree % 4])
-
-
-# An element of P_n is one int: bit (slot*8 + left)*8 + right stands for the
-# term left (x) gen_slot (x) right, so at most 2*8*8 = 128 bits.  The eight
-# bits of one (slot, left) row are a coefficient mask over the right
-# monomials, which is how right multiplication and evaluation read them.
-
-
-def _place(lefts: int, slot: int, rights: int) -> int:
-    """Packed sum of l (x) gen_slot (x) rights over the monomials l of the mask lefts."""
-    out = 0
-    while lefts:
-        low = lefts & -lefts
-        out ^= rights << ((slot << 3 | low.bit_length() - 1) << 3)
-        lefts ^= low
-    return out
-
-
-def _rows(bits: int) -> Iterator[tuple[int, int, int]]:
-    """The nonzero rows of a packed element as (slot, left, mask of right monomials)."""
-    while bits:
-        shift = (bits & -bits).bit_length() - 1 & ~7
-        rights = bits >> shift & 0xFF
-        bits ^= rights << shift
-        yield shift >> 6, shift >> 3 & 7, rights
 
 
 @dataclass(frozen=True)
@@ -91,7 +73,7 @@ class MinResElement:
                 raise ValueError(f"slot {slot} invalid at degree {degree}")
             if not (0 <= left < 8 and 0 <= right < 8):
                 raise ValueError(f"term {(left, slot, right)}: monomial index outside 0..7")
-            acc ^= _place(1 << left, slot, 1 << right)
+            acc ^= place(1 << left, slot, 1 << right)
         return cls(degree, acc)
 
     @classmethod
@@ -108,23 +90,17 @@ class MinResElement:
 
     def terms(self) -> Iterator[Term]:
         """The basis triples (left, slot, right) of the sum, in a fixed order."""
-        for slot, left, rights in _rows(self.bits):
+        for slot, left, rights in rows(self.bits):
             for right in AlgebraElement(rights).monomials():
                 yield left, slot, right
 
 
 def left_multiply(a: AlgebraElement, e: MinResElement) -> MinResElement:
-    acc = 0
-    for slot, left, rights in _rows(e.bits):
-        acc ^= _place(mask_mul(a.bits, 1 << left), slot, rights)
-    return MinResElement(e.degree, acc)
+    return MinResElement(e.degree, left_act(a.bits, e.bits))
 
 
 def right_multiply(e: MinResElement, a: AlgebraElement) -> MinResElement:
-    acc = 0
-    for slot, left, rights in _rows(e.bits):
-        acc ^= _place(1 << left, slot, mask_mul(rights, a.bits))
-    return MinResElement(e.degree, acc)
+    return MinResElement(e.degree, right_act(e.bits, a.bits))
 
 
 @dataclass(frozen=True)
@@ -192,9 +168,9 @@ def min_differential(e: MinResElement) -> MinResElement:
     """Bimodule-linear extension of the generator formulas."""
     formulas = differential_formulas(e.degree)
     acc = 0
-    for slot, left, rights in _rows(e.bits):
+    for slot, left, rights in rows(e.bits):
         for a, s2, b in formulas[slot].all_terms:
-            acc ^= _place(MONO_MUL[left][a], s2, mask_mul(1 << b, rights))
+            acc ^= place(MONO_MUL[left][a], s2, mask_mul(1 << b, rights))
     return MinResElement(e.degree - 1, acc)
 
 
@@ -202,24 +178,21 @@ def augmentation(e: MinResElement) -> AlgebraElement:
     """d0: multiply the two frames of P_0."""
     if e.degree % 4 != 0:
         raise ValueError("augmentation lives on P_0")
-    acc = 0
-    for _, left, rights in _rows(e.bits):
-        acc ^= mask_mul(1 << left, rights)
-    return AlgebraElement(acc)
+    return AlgebraElement(evaluate_bits((1 << UNIT,), e.bits))
 
 
 def rho(a: AlgebraElement) -> MinResElement:
     """Bimodule splitting A -> P_3, rho(1) = sum_b b* (x) b."""
     acc = 0
     for b in range(8):
-        acc ^= _place(1 << dual_basis(b), 0, mask_mul(1 << b, a.bits))
+        acc ^= place(1 << dual_basis(b), 0, mask_mul(1 << b, a.bits))
     return MinResElement(3, acc)
 
 
 def tau(e: MinResElement) -> AlgebraElement:
     """Bimodule retraction P_3 -> A: xyxy (x) c -> c, other b (x) c -> 0."""
     acc = 0
-    for _, left, rights in _rows(e.bits):
+    for _, left, rights in rows(e.bits):
         if left == XYXY:
             acc ^= rights
     return AlgebraElement(acc)
@@ -292,16 +265,16 @@ HOMOTOPY_TABLES: tuple[dict[tuple[int, int], tuple[Term, ...]], ...] = (
 def _apply_homotopy(table, bits: int) -> int:
     """Right-linear extension of a homotopy value table to a packed element."""
     acc = 0
-    for slot, left, rights in _rows(bits):
+    for slot, left, rights in rows(bits):
         for p, s2, q in table[(left, slot)]:
-            acc ^= _place(1 << p, s2, mask_mul(1 << q, rights))
+            acc ^= place(1 << p, s2, mask_mul(1 << q, rights))
     return acc
 
 
 def homotopy_t(degree: int, e) -> MinResElement:
     """Apply t_degree; degree -1 takes an AlgebraElement, else a MinResElement."""
     if degree == -1:
-        return MinResElement(0, _place(1 << UNIT, 0, e.bits))
+        return MinResElement(0, place(1 << UNIT, 0, e.bits))
     if e.degree != degree:
         raise ValueError("element degree does not match homotopy index")
     return MinResElement(degree + 1, _apply_homotopy(HOMOTOPY_TABLES[degree % 4], e.bits))
@@ -316,7 +289,7 @@ def homotopy_step_table(degree: int, m: int) -> tuple[int, ...]:
     """
     table = HOMOTOPY_TABLES[degree % 4]
     return tuple(
-        _apply_homotopy(table, _place(MONO_MUL[m][left], slot, 1 << right))
+        _apply_homotopy(table, place(MONO_MUL[m][left], slot, 1 << right))
         for slot in generators(degree)
         for left in range(8)
         for right in range(8)
@@ -425,15 +398,7 @@ def evaluate_min(f: MinCochain, e: MinResElement) -> AlgebraElement:
     """Bimodule-linear evaluation of a MinCochain on an element of P_degree."""
     if e.degree != f.degree:
         raise ValueError("degree mismatch")
-    return AlgebraElement(evaluate_bits(tuple(v.bits for v in f.values), e.bits))
-
-
-def evaluate_bits(value_masks: tuple[int, ...], bits: int) -> int:
-    """evaluate_min on raw masks: generator values as coefficient masks, a packed element."""
-    acc = 0
-    for slot, left, rights in _rows(bits):
-        acc ^= mask_mul(mask_mul(1 << left, value_masks[slot]), rights)
-    return acc
+    return AlgebraElement(evaluate_bits([v.bits for v in f.values], e.bits))
 
 
 def min_cochain_differential(f: MinCochain) -> MinCochain:

@@ -22,7 +22,7 @@ from q8bv.algebra import (
     bilinear_form,
     dual_basis,
 )
-from q8bv.bar import BarChain, BarTensor
+from q8bv.bar import BarChain
 from q8bv.minres import MinCochain, MinResElement
 
 MONO = [AlgebraElement.monomial(i) for i in range(8)]
@@ -99,7 +99,7 @@ def test_criterion_3_comparison_suite():
     for n in (1, 2, 3):
         count = 0
         for mids in itertools.product(NON_UNIT, repeat=n):
-            chain = BarChain.of(n, [BarTensor(UNIT, mids, UNIT)])
+            chain = BarChain.of(n, [(UNIT, mids, UNIT)])
             lhs = minres.min_differential(compare.psi(n, mids))
             rhs = compare.psi_on_chain(bar.bar_differential(chain))
             assert not lhs + rhs, (n, mids)
@@ -243,7 +243,7 @@ def test_criterion_7_structural_properties():
                 lhs = bilinear_form(df(mids), MONO[head])
                 rhs = 0
                 c = bar.HochschildChain.of(rep.degree - 1, [(head, mids)])
-                for _, bmids in bar.connes_b(c).terms:
+                for bmids in bar.connes_b(c).terms:
                     rhs ^= (f(bmids)).coefficient(XYXY)
                 assert lhs == rhs, (rep, head, mids)
 

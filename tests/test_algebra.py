@@ -17,7 +17,6 @@ from q8bv.algebra import (
     bilinear_form,
     bimodule_derivation,
     dual_basis,
-    multiply,
     socle_pairing_with_one,
 )
 
@@ -26,19 +25,19 @@ MONO = [AlgebraElement.monomial(i) for i in range(8)]
 
 def test_unit_law():
     for i in range(8):
-        assert multiply(MONO[UNIT], MONO[i]) == MONO[i]
-        assert multiply(MONO[i], MONO[UNIT]) == MONO[i]
+        assert MONO[UNIT] * MONO[i] == MONO[i]
+        assert MONO[i] * MONO[UNIT] == MONO[i]
 
 
 def test_squares_are_the_opposite_words():
-    assert multiply(MONO[X], MONO[X]) == MONO[YXY]
-    assert multiply(MONO[Y], MONO[Y]) == MONO[XYX]
+    assert MONO[X] * MONO[X] == MONO[YXY]
+    assert MONO[Y] * MONO[Y] == MONO[XYX]
 
 
 def test_socle_is_annihilated():
     for g in (X, Y):
-        assert not multiply(MONO[XYXY], MONO[g])
-        assert not multiply(MONO[g], MONO[XYXY])
+        assert not MONO[XYXY] * MONO[g]
+        assert not MONO[g] * MONO[XYXY]
 
 
 def test_defining_relations_vanish():
@@ -163,3 +162,31 @@ def test_from_word_reduces():
 def test_str_rendering():
     assert str(AlgebraElement.zero()) == "0"
     assert str(MONO[UNIT] + MONO[XY]) == "1+xy"
+
+
+def test_packed_bimodule_kernel_on_basis_terms():
+    values = (MONO[XY].bits, MONO[Y].bits | MONO[UNIT].bits)
+    for slot in (0, 1):
+        for left in range(8):
+            for right in range(8):
+                term = algebra.place(1 << left, slot, 1 << right)
+                assert term == 1 << ((slot * 8 + left) * 8 + right)
+                assert list(algebra.rows(term)) == [(slot, left, 1 << right)]
+                expected = (MONO[left] * AlgebraElement(values[slot]) * MONO[right]).bits
+                assert algebra.evaluate_bits(values, term) == expected
+                for a in range(8):
+                    prod = MONO_MUL[a][left]
+                    assert algebra.left_act(1 << a, term) == algebra.place(prod, slot, 1 << right)
+                    prod = MONO_MUL[right][a]
+                    assert algebra.right_act(term, 1 << a) == algebra.place(1 << left, slot, prod)
+
+
+def test_packed_rows_rebuild_the_element():
+    bits = 0
+    for i in range(0, 128, 3):
+        bits |= 1 << i
+    rebuilt = 0
+    for slot, left, rights in algebra.rows(bits):
+        assert rights and 0 <= slot < 2 and 0 <= left < 8
+        rebuilt ^= algebra.place(1 << left, slot, rights)
+    assert rebuilt == bits

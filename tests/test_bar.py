@@ -11,7 +11,6 @@ from q8bv.algebra import UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
 from q8bv.bar import (
     BarChain,
     BarCochain,
-    BarTensor,
     HochschildChain,
     bar_differential,
     chain_differential,
@@ -28,7 +27,7 @@ NON_UNIT = list(range(1, 8))
 
 
 def tensor(left, mids, right):
-    return BarChain.of(len(mids), [BarTensor(left, tuple(mids), right)])
+    return BarChain.of(len(mids), [(left, tuple(mids), right)])
 
 
 def identity_cochain() -> BarCochain:
@@ -59,6 +58,52 @@ def test_bar_differential_squares_to_zero():
 def test_bar_differential_rejects_degree_zero():
     with pytest.raises(ValueError):
         bar_differential(tensor(UNIT, (), UNIT))
+
+
+def test_bar_chain_of_rejects_frames_outside_the_monomials():
+    # packed, right = 9 would alias the frames (left + 1, 1)
+    for term, entry in (
+        ((8, (X,), UNIT), "left frame 8 "),
+        ((-1, (X,), UNIT), "left frame -1 "),
+        ((UNIT, (X,), 9), "right frame 9 "),
+        ((X, (Y,), -2), "right frame -2 "),
+    ):
+        with pytest.raises(ValueError, match=entry):
+            BarChain.of(1, [term])
+
+
+def test_bar_chain_of_rejects_interior_entries_outside_the_non_unit_monomials():
+    for mids, entry in (((UNIT,), "0"), ((X, 8), "8"), ((-1, Y), "-1")):
+        with pytest.raises(ValueError, match=f"interior entry {entry} "):
+            BarChain.of(len(mids), [(UNIT, mids, UNIT)])
+
+
+def test_hochschild_chain_of_rejects_heads_outside_the_monomials():
+    for head in (8, -1):
+        with pytest.raises(ValueError, match=f"head {head} "):
+            HochschildChain.of(1, [(head, (X,))])
+    with pytest.raises(ValueError, match="interior entry 0 "):
+        HochschildChain.of(1, [(X, (UNIT,))])
+
+
+def test_chain_sums_stay_canonical():
+    # repeated terms cancel, and no interior tuple keeps a zero value
+    assert BarChain.of(1, [(X, (Y,), UNIT)] * 2) == BarChain.zero(1)
+    assert tensor(X, (Y,), UNIT) + tensor(X, (Y,), UNIT) == BarChain.zero(1)
+    assert not (tensor(X, (Y,), UNIT) + tensor(X, (Y,), UNIT)).terms
+    assert chain(X, (Y,)) + chain(X, (Y,)) == HochschildChain.zero(1)
+    assert BarChain.zero(1) != HochschildChain.zero(1)
+
+
+def test_frame_multiplication_on_single_terms():
+    for a in range(8):
+        for left in range(8):
+            got = bar.left_multiply(MONO[a], tensor(left, (X,), Y))
+            prod = MONO[a] * MONO[left]
+            assert got == (tensor(next(prod.monomials()), (X,), Y) if prod else BarChain.zero(1))
+            got = bar.right_multiply(tensor(Y, (X,), left), MONO[a])
+            prod = MONO[left] * MONO[a]
+            assert got == (tensor(Y, (X,), next(prod.monomials())) if prod else BarChain.zero(1))
 
 
 def test_cochain_vanishes_on_unit_arguments():
@@ -408,7 +453,7 @@ def test_mask_kernels_match_reference_on_phi_images_of_catalog_generators():
 
     cat = catalog()
     pairs = [(transport_to_bar(cat[g].rep), ref_transport(cat[g].rep)) for g in GENERATOR_ORDER]
-    tuples = {n: sorted({t.mids for chain in phi(n) for t in chain.terms}) for n in range(9)}
+    tuples = {n: sorted({mids for chain in phi(n) for mids in chain.terms}) for n in range(9)}
     count = 0
     for name, kernel, ref in paired_operations(pairs, 8):
         if name in ("circle", "differential"):

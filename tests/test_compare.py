@@ -6,7 +6,7 @@ import pytest
 
 from q8bv import cli, compare, hhring, minres
 from q8bv.algebra import MONO_MUL, UNIT, X, XY, XYX, XYXY, Y, YX, AlgebraElement
-from q8bv.bar import BarChain, BarTensor, bv_delta
+from q8bv.bar import BarChain, bv_delta
 from q8bv.compare import (
     phi,
     phi_reference,
@@ -23,20 +23,20 @@ MONO = [AlgebraElement.monomial(i) for i in range(8)]
 
 
 def test_phi_degree_one_is_inclusion():
-    assert phi(1)[0] == BarChain.of(1, [BarTensor(UNIT, (X,), UNIT)])
-    assert phi(1)[1] == BarChain.of(1, [BarTensor(UNIT, (Y,), UNIT)])
+    assert phi(1)[0] == BarChain.of(1, [(UNIT, (X,), UNIT)])
+    assert phi(1)[1] == BarChain.of(1, [(UNIT, (Y,), UNIT)])
 
 
 def test_phi_degree_three_is_the_six_term_chain():
     expected = BarChain.of(
         3,
         [
-            BarTensor(UNIT, (X, X, X), UNIT),
-            BarTensor(UNIT, (X, Y, X), Y),
-            BarTensor(UNIT, (X, YX, Y), UNIT),
-            BarTensor(UNIT, (Y, Y, Y), UNIT),
-            BarTensor(UNIT, (Y, X, Y), X),
-            BarTensor(UNIT, (Y, XY, X), UNIT),
+            (UNIT, (X, X, X), UNIT),
+            (UNIT, (X, Y, X), Y),
+            (UNIT, (X, YX, Y), UNIT),
+            (UNIT, (Y, Y, Y), UNIT),
+            (UNIT, (Y, X, Y), X),
+            (UNIT, (Y, XY, X), UNIT),
         ],
     )
     assert phi(3)[0] == expected
@@ -50,6 +50,14 @@ def test_phi_matches_reference_everywhere():
     for n in range(6):
         for slot, ref in enumerate(phi_reference(n)):
             assert phi(n)[slot] == ref
+
+
+def test_phi_term_counts_per_degree():
+    # the counts the bench reports as compare.phi_terms.<n>: one frame per tuple
+    expected = [1, 2, 6, 6, 38, 76, 202, 202, 658]
+    assert [sum(len(c.terms) for c in phi(n)) for n in range(9)] == expected
+    frame_bits = [sum(bin(f).count("1") for c in phi(n) for f in c.terms.values()) for n in range(9)]
+    assert frame_bits == expected
 
 
 def test_psi_degree_one_is_the_derivation():
@@ -106,7 +114,7 @@ def test_psi_matches_triple_set_reference_exhaustively_in_degrees_one_to_three()
 
 def test_psi_matches_triple_set_reference_on_phi_tuples_in_degrees_four_to_eight():
     for n in range(4, 9):
-        tuples = {t.mids for chain in phi(n) for t in chain.terms}
+        tuples = {mids for chain in phi(n) for mids in chain.terms}
         for mids in sorted(tuples):
             assert psi(n, mids) == MinResElement.of(n, reference_psi(mids)), mids
 

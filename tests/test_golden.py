@@ -1,0 +1,55 @@
+"""Golden outputs of the benchmark: tables byte for byte, the verify check
+names, and a fixed slice of the deep class queries."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from q8bv import cli, hhring
+
+GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", ["cup", "delta", "bracket"])
+def test_table_json_matches_golden_bytes(capsys, kind):
+    code, out = run(capsys, "table", kind, "--format", "json")
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"table_{kind}.json").read_bytes()
+
+
+def test_verify_all_runs_the_golden_checks_and_passes(capsys):
+    code, out = run(capsys, "verify", "all", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    names = [c["name"] for c in report["checks"]]
+    assert names == json.loads((GOLDEN / "verify_checks.json").read_text())
+    assert all(c["passed"] for c in report["checks"])
+
+
+def answer(key: str) -> str:
+    """Rendered answer of a deep query key kind:g:m1*m2*..."""
+    kind, g, monomial = key.split(":")
+    cls = hhring.class_of_monomial(tuple(monomial.split("*")) if monomial else ())
+    if kind == "cup":
+        value = hhring.cup_classes(hhring.catalog()[g], cls)
+    elif kind == "delta":
+        value = hhring.delta_class(cls)
+    else:
+        assert kind == "bracket", key
+        value = hhring.bracket_classes(hhring.catalog()[g], cls)
+    return hhring.render_class(value)
+
+
+def test_every_twentieth_deep_answer_matches_golden():
+    answers = json.loads((GOLDEN / "deep_answers.json").read_text())
+    keys = list(answers)[::20]
+    assert len(keys) == 136
+    assert {key.split(":")[0] for key in keys} == {"cup", "delta", "bracket"}
+    mismatches = [(key, got, answers[key]) for key in keys if (got := answer(key)) != answers[key]]
+    assert not mismatches, mismatches[:3]

@@ -316,3 +316,19 @@ def test_clear_caches_reaches_caches_behind_wrapped_names(monkeypatch):
     original()
     hhring.clear_caches()
     assert original.cache_info().currsize == 0
+
+
+def test_rendering_basis_matches_the_span_reference_and_is_reset():
+    from q8bv.gf2 import in_span
+
+    for degree in range(9):
+        cob = list(hhring.coboundary_basis_vectors(degree))
+        chosen, vectors = [], []
+        for mono in sorted(hhring._candidate_monomials(degree), key=lambda m: (len(m), m)):
+            vec = hhring.cochain_to_vector(class_of_monomial(mono).rep)
+            if not in_span(vec, cob + vectors):
+                chosen.append(mono)
+                vectors.append(vec)
+        assert hhring._rendering_basis_cached(degree) == (tuple(chosen), tuple(vectors)), degree
+    hhring.clear_caches()
+    assert hhring._rendering_basis_cached.cache_info().currsize == 0
