@@ -12,7 +12,7 @@ directions (compare), cohomology classes with exact class arithmetic
 from .algebra import AlgebraElement, GroupAlgebraOracle, bilinear_form, dual_basis
 from .bar import BarChain, BarCochain, HochschildChain
 from .compare import phi, psi, transport_to_bar, transport_to_min, verify_chain_maps
-from .gf2 import GF2Matrix, GF2Vector, in_span, kernel_basis, rank, solve
+from .gf2 import GF2Matrix, GF2Vector, in_span, kernel_basis, rank
 from .hhring import (
     CohomologyClass,
     bracket_classes,
@@ -55,7 +55,6 @@ __all__ = [
     "phi",
     "psi",
     "rank",
-    "solve",
     "transport_to_bar",
     "transport_to_min",
     "verify_chain_maps",

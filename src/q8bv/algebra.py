@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .gf2 import GF2Vector
 
 BASIS_WORDS: tuple[str, ...] = ("", "x", "y", "xy", "yx", "xyx", "yxy", "xyxy")
 BASIS_NAMES: tuple[str, ...] = ("1",) + BASIS_WORDS[1:]
@@ -121,10 +120,6 @@ class AlgebraElement:
     def from_word(cls, word: str) -> "AlgebraElement":
         red = _reduce_word(word)
         return cls(0 if red is None else 1 << WORD_INDEX[red])
-
-    @property
-    def coeffs(self) -> GF2Vector:
-        return GF2Vector(8, self.bits)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(self.bits ^ other.bits)

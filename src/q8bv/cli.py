@@ -196,11 +196,11 @@ def suite_relations() -> Report:
 
     cat = hhring.catalog()
     witnesses = (
-        ("u1*u1 = (1, y)", ("u1", "u1"), hhring.MinCochain(2, (algebra.ONE, AlgebraElement.monomial(algebra.Y)))),
-        ("u1p*u1p = (x, 1)", ("u1p", "u1p"), hhring.MinCochain(2, (AlgebraElement.monomial(algebra.X), algebra.ONE))),
-        ("u1p*v2p = y", ("u1p", "v2p"), hhring.MinCochain(3, (AlgebraElement.monomial(algebra.Y),))),
-        ("u1*v2 = x", ("u1", "v2"), hhring.MinCochain(3, (AlgebraElement.monomial(algebra.X),))),
-        ("u1p*v2 = xy", ("u1p", "v2"), hhring.MinCochain(3, (AlgebraElement.monomial(algebra.XY),))),
+        ("u1*u1 = (1, y)", ("u1", "u1"), hhring.MinCochain.of(2, (algebra.ONE, AlgebraElement.monomial(algebra.Y)))),
+        ("u1p*u1p = (x, 1)", ("u1p", "u1p"), hhring.MinCochain.of(2, (AlgebraElement.monomial(algebra.X), algebra.ONE))),
+        ("u1p*v2p = y", ("u1p", "v2p"), hhring.MinCochain.of(3, (AlgebraElement.monomial(algebra.Y),))),
+        ("u1*v2 = x", ("u1", "v2"), hhring.MinCochain.of(3, (AlgebraElement.monomial(algebra.X),))),
+        ("u1p*v2 = xy", ("u1p", "v2"), hhring.MinCochain.of(3, (AlgebraElement.monomial(algebra.XY),))),
     )
     for name, mono, expected in witnesses:
         got = hhring.class_of_monomial(mono)

@@ -158,15 +158,17 @@ def clear_psi_memo() -> None:
 
 def transport_to_bar(f: MinCochain) -> BarCochain:
     """The composite cochain taking mids to f(psi(mids))."""
-    values = tuple(v.bits for v in f.values)
+    values = tuple(f.bits >> 8 * s & 0xFF for s in generators(f.degree))
     return BarCochain(f.degree, lambda mids: evaluate_bits(values, psi_bits(mids)))
 
 
 def transport_to_min(g: BarCochain) -> MinCochain:
     """Evaluate a bar cochain on the phi images of the generators."""
     n = g.degree
-    values = tuple(evaluate_on_chain(g, chain) for chain in phi(n))
-    return MinCochain(n, values)
+    bits = 0
+    for slot, chain in enumerate(phi(n)):
+        bits |= evaluate_on_chain(g, chain).bits << 8 * slot
+    return MinCochain(n, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +191,7 @@ def delta_matrix(n: int) -> tuple[int, ...]:
     """Class-level Delta from degree n to degree n - 1 as a GF(2) matrix.
 
     Entry j is transport_to_min(bv_delta(transport_to_bar(e_j))) for the j-th
-    basis cochain e_j of degree n, packed like hhring.cochain_to_vector (bit
+    basis cochain e_j of degree n, packed like MinCochain.bits (bit
     8*slot + monomial); there are 8 entries per generator of P_n.  Built on
     first use, dropped by clear_psi_memo.
     """

@@ -9,7 +9,7 @@ basis is deterministic and usable as a test fixture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -22,14 +22,6 @@ class GF2Vector:
     def __post_init__(self) -> None:
         if self.bits < 0 or self.bits >> self.n:
             raise ValueError(f"bits out of range for length {self.n}")
-
-    def __add__(self, other: "GF2Vector") -> "GF2Vector":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return GF2Vector(self.n, self.bits ^ other.bits)
-
-    def __getitem__(self, i: int) -> int:
-        return self.bits >> i & 1
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -153,20 +145,3 @@ def in_span(v: GF2Vector, basis: list[GF2Vector]) -> bool:
             w ^= rows[prow]
     return w == 0
 
-
-def solve(m: GF2Matrix, rhs: GF2Vector) -> Optional[GF2Vector]:
-    """One solution of m.apply(x) = rhs, or None if the system is inconsistent.
-
-    Free variables are set to zero, so the result is deterministic.
-    """
-    if rhs.n != len(m.rows):
-        raise ValueError("dimension mismatch")
-    aug = [row | ((rhs.bits >> r & 1) << m.cols) for r, row in enumerate(m.rows)]
-    rows, pivots = _rref(aug, m.cols + 1)
-    if m.cols in pivots:
-        return None
-    bits = 0
-    for prow, pcol in enumerate(pivots):
-        if rows[prow] >> m.cols & 1:
-            bits |= 1 << pcol
-    return GF2Vector(m.cols, bits)

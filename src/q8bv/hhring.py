@@ -1,13 +1,18 @@
 """Cohomology classes on the minimal resolution and the ring/BV structure.
 
 Classes are cocycles with equality decided modulo coboundaries by exact GF(2)
-linear algebra.  Products and brackets are computed by transporting
+linear algebra on the packed int of each representative (MinCochain.bits):
+the cocycle check applies the cached matrix of the cochain differential, and
+class equality and canonical representatives reduce against the cached
+coboundary RREF rows.  Products and brackets are computed by transporting
 representatives to the normalized bar complex through psi, applying the
 bar-level operation there, and pulling the result back through phi; the
 degree -1 operator applies compare.delta_matrix, the same composite as one
-matrix per degree.  The reference tables this module verifies against are
-the published generator catalog, relation list, and structure tables for
-this algebra.
+matrix per degree.  Classes render as sums of generator monomials by
+reduction against cached pivots, each of which records the chosen monomials
+it combines.  The reference tables this module verifies against are the
+published generator catalog, relation list, and structure tables for this
+algebra.
 """
 from __future__ import annotations
 
@@ -25,28 +30,14 @@ from .compare import (
     transport_to_bar,
     transport_to_min,
 )
-from .gf2 import GF2Matrix, GF2Vector, kernel_basis, rank, row_space_basis, solve
-from .minres import (
-    GENERATOR_COUNTS,
-    MinCochain,
-    generators,
-    min_cochain_differential,
-)
+from .gf2 import GF2Matrix, GF2Vector, kernel_basis, rank, row_space_basis
+from .minres import GENERATOR_COUNTS, MinCochain, min_cochain_differential
 from .report import Check, Report
 
 
-def cochain_to_vector(f: MinCochain) -> GF2Vector:
-    bits = 0
-    for s, v in enumerate(f.values):
-        bits |= v.bits << (8 * s)
-    return GF2Vector(8 * len(f.values), bits)
-
-
-def vector_to_cochain(degree: int, v: GF2Vector) -> MinCochain:
-    values = tuple(
-        AlgebraElement(v.bits >> (8 * s) & 0xFF) for s in generators(degree)
-    )
-    return MinCochain(degree, values)
+def _width(n: int) -> int:
+    """Bit width of a packed degree-n cochain: 8 per generator of P_n."""
+    return 8 * GENERATOR_COUNTS[n % 4]
 
 
 def _check_degree(n: int) -> None:
@@ -55,14 +46,20 @@ def _check_degree(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _delta_image_vectors(n: int) -> tuple[GF2Vector, ...]:
-    """Images under the cochain differential of the basis cochains of degree n."""
-    dim = 8 * GENERATOR_COUNTS[n % 4]
-    images = []
-    for i in range(dim):
-        f = vector_to_cochain(n, GF2Vector(dim, 1 << i))
-        images.append(cochain_to_vector(min_cochain_differential(f)))
-    return tuple(images)
+def _delta_image_vectors(n: int) -> tuple[int, ...]:
+    """The cochain differential from degree n as a matrix: row j is the
+    packed image of the j-th basis cochain of degree n."""
+    return tuple(min_cochain_differential(MinCochain(n, 1 << j)).bits for j in range(_width(n)))
+
+
+def _apply(rows: tuple[int, ...], bits: int) -> int:
+    """The XOR of the rows selected by the set bits of bits."""
+    image = 0
+    while bits:
+        low = bits & -bits
+        image ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return image
 
 
 @lru_cache(maxsize=None)
@@ -70,28 +67,27 @@ def coboundary_basis_vectors(n: int) -> tuple[GF2Vector, ...]:
     _check_degree(n)
     if n == 0:
         return ()
-    return tuple(row_space_basis(list(_delta_image_vectors(n - 1))))
+    return tuple(row_space_basis([GF2Vector(_width(n), r) for r in _delta_image_vectors(n - 1)]))
 
 
 def coboundary_space(n: int) -> list[MinCochain]:
     """Deterministic basis of the coboundaries in degree n."""
-    return [vector_to_cochain(n, v) for v in coboundary_basis_vectors(n)]
+    return [MinCochain(n, v.bits) for v in coboundary_basis_vectors(n)]
 
 
 def cocycle_space(n: int) -> list[MinCochain]:
     """Deterministic basis of the cocycles in degree n."""
     _check_degree(n)
-    m = GF2Matrix.from_columns(list(_delta_image_vectors(n)))
-    return [vector_to_cochain(n, v) for v in kernel_basis(m)]
+    m = GF2Matrix.from_columns([GF2Vector(_width(n + 1), r) for r in _delta_image_vectors(n)])
+    return [MinCochain(n, v.bits) for v in kernel_basis(m)]
 
 
 def hh_dim(n: int) -> int:
     """Exact dimension of the degree-n cohomology."""
     _check_degree(n)
-    dim = 8 * GENERATOR_COUNTS[n % 4]
-    rank_out = rank(GF2Matrix.from_columns(list(_delta_image_vectors(n))))
+    rank_out = rank(GF2Matrix(_delta_image_vectors(n), _width(n + 1)))
     rank_in = len(coboundary_basis_vectors(n))
-    return dim - rank_out - rank_in
+    return _width(n) - rank_out - rank_in
 
 
 def _reduce(n: int, w: int) -> int:
@@ -106,7 +102,7 @@ def _reduce(n: int, w: int) -> int:
 
 
 def is_coboundary(f: MinCochain) -> bool:
-    return _reduce(f.degree, cochain_to_vector(f).bits) == 0
+    return _reduce(f.degree, f.bits) == 0
 
 
 @dataclass(frozen=True)
@@ -116,7 +112,8 @@ class CohomologyClass:
     rep: MinCochain
 
     def __post_init__(self) -> None:
-        if min_cochain_differential(self.rep):
+        # every class, products included: this check catches a corrupted table
+        if _apply(_delta_image_vectors(self.rep.degree), self.rep.bits):
             raise ValueError("representative is not a cocycle")
 
     @property
@@ -142,8 +139,7 @@ def class_eq(a: CohomologyClass, b: CohomologyClass) -> bool:
 
 def canonical_rep(c: CohomologyClass) -> MinCochain:
     """Deterministic coset representative: reduce modulo the coboundary RREF basis."""
-    w = _reduce(c.degree, cochain_to_vector(c.rep).bits)
-    return vector_to_cochain(c.degree, GF2Vector(8 * len(c.rep.values), w))
+    return MinCochain(c.degree, _reduce(c.degree, c.rep.bits))
 
 
 def cup_classes(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
@@ -157,14 +153,7 @@ def delta_class(a: CohomologyClass) -> CohomologyClass:
     """The degree -1 operator on a class, by the matrix compare.delta_matrix."""
     if a.degree == 0:
         raise ValueError("degree 0 has no lower degree; the value is the zero class")
-    rows = delta_matrix(a.degree)
-    v = cochain_to_vector(a.rep).bits
-    image = 0
-    for j, row in enumerate(rows):
-        if v >> j & 1:
-            image ^= row
-    n = a.degree - 1
-    return CohomologyClass(vector_to_cochain(n, GF2Vector(8 * GENERATOR_COUNTS[n % 4], image)))
+    return CohomologyClass(MinCochain(a.degree - 1, _apply(delta_matrix(a.degree), a.rep.bits)))
 
 
 def delta_or_zero(a: CohomologyClass) -> CohomologyClass:
@@ -206,16 +195,16 @@ def _elt(*monomials: int) -> AlgebraElement:
 def catalog() -> dict[str, CohomologyClass]:
     """The ten published generators as cocycles on the minimal resolution."""
     reps = {
-        "p1": MinCochain(0, (_elt(XY, YX),)),
-        "p2": MinCochain(0, (_elt(XYX),)),
-        "p2p": MinCochain(0, (_elt(YXY),)),
-        "p3": MinCochain(0, (_elt(XYXY),)),
-        "u1": MinCochain(1, (_elt(UNIT, XY), _elt(X))),
-        "u1p": MinCochain(1, (_elt(Y), _elt(UNIT, YX))),
-        "v1": MinCochain(2, (_elt(Y), _elt(X))),
-        "v2": MinCochain(2, (_elt(X), AlgebraElement.zero())),
-        "v2p": MinCochain(2, (AlgebraElement.zero(), _elt(Y))),
-        "z": MinCochain(4, (ONE,)),
+        "p1": MinCochain.of(0, (_elt(XY, YX),)),
+        "p2": MinCochain.of(0, (_elt(XYX),)),
+        "p2p": MinCochain.of(0, (_elt(YXY),)),
+        "p3": MinCochain.of(0, (_elt(XYXY),)),
+        "u1": MinCochain.of(1, (_elt(UNIT, XY), _elt(X))),
+        "u1p": MinCochain.of(1, (_elt(Y), _elt(UNIT, YX))),
+        "v1": MinCochain.of(2, (_elt(Y), _elt(X))),
+        "v2": MinCochain.of(2, (_elt(X), AlgebraElement.zero())),
+        "v2p": MinCochain.of(2, (AlgebraElement.zero(), _elt(Y))),
+        "z": MinCochain.of(4, (ONE,)),
     }
     return {name: CohomologyClass(rep) for name, rep in reps.items()}
 
@@ -236,7 +225,7 @@ def class_of_monomial(m: Monomial) -> CohomologyClass:
     The empty monomial is the unit class, the constant-1 cocycle in degree 0.
     """
     if not m:
-        return CohomologyClass(MinCochain(0, (ONE,)))
+        return CohomologyClass(MinCochain.of(0, (ONE,)))
     cached = _MONOMIAL_CLASS_MEMO.get(m)
     if cached is None:
         cached = catalog()[m[0]]
@@ -252,13 +241,17 @@ def class_of_expression(expr: str, degree: int) -> CohomologyClass:
     if expr == "0":
         return acc
     for mono_str in expr.split("+"):
+        if not mono_str:
+            raise ValueError(f"empty term in expression {expr!r}")
         factors: list[str] = []
-        for part in mono_str.split("*"):
-            if "^" in part:
-                name, power = part.split("^")
-                factors.extend([name] * int(power))
-            else:
-                factors.append(part)
+        parts = () if mono_str == "1" else mono_str.split("*")  # "1" is the unit monomial
+        for part in parts:
+            name, caret, power = part.partition("^")
+            if name not in GENERATOR_DEGREES:
+                raise ValueError(f"term {mono_str!r}: unknown generator {name!r}")
+            if caret and not (power.isascii() and power.isdigit()):
+                raise ValueError(f"term {mono_str!r}: exponent {power!r} is not a nonnegative integer")
+            factors.extend([name] * (int(power) if caret else 1))
         mono = tuple(sorted(factors, key=GENERATOR_ORDER.index))
         if monomial_degree(mono) != degree:
             raise ValueError(f"monomial {mono_str} has wrong degree")
@@ -532,26 +525,32 @@ def seven_term_identity(a: str, b: str, c: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _rendering_basis_cached(degree: int) -> tuple[tuple[Monomial, ...], tuple[GF2Vector, ...]]:
-    """Greedy independent set of monomial classes spanning the degree, with their vectors.
+def _rendering_basis_cached(
+    degree: int,
+) -> tuple[tuple[Monomial, ...], tuple[int, ...], dict[int, tuple[int, int]]]:
+    """Greedy independent set of monomial classes spanning the degree, with
+    their packed vectors and the pivots that render_class reduces against.
 
-    Each candidate is reduced against a pivot set, keyed by lowest set bit,
-    that starts from the coboundary RREF rows and gains the reduced vector of
-    every monomial chosen so far; a nonzero remainder means independence.
+    The pivots map a lowest set bit to (row, mask): no other row has that
+    bit, and the row equals, modulo coboundaries, the sum of the chosen
+    monomials whose indices are the set bits of mask.  They start from the
+    coboundary RREF rows (mask 0); each candidate is reduced against them,
+    and a nonzero remainder means independence and becomes a pivot.
     """
-    pivots = {b.bits & -b.bits: b.bits for b in coboundary_basis_vectors(degree)}
+    pivots = {b.bits & -b.bits: (b.bits, 0) for b in coboundary_basis_vectors(degree)}
     chosen: list[Monomial] = []
-    vectors: list[GF2Vector] = []
+    vectors: list[int] = []
     for mono in sorted(_candidate_monomials(degree), key=lambda m: (len(m), m)):
-        vec = cochain_to_vector(class_of_monomial(mono).rep)
-        w = vec.bits
+        vec = class_of_monomial(mono).rep.bits
+        w, mask = vec, 1 << len(chosen)
         while w and w & -w in pivots:
-            w ^= pivots[w & -w]
+            row, row_mask = pivots[w & -w]
+            w, mask = w ^ row, mask ^ row_mask
         if w:
-            pivots[w & -w] = w
+            pivots[w & -w] = (w, mask)
             chosen.append(mono)
             vectors.append(vec)
-    return tuple(chosen), tuple(vectors)
+    return tuple(chosen), tuple(vectors), pivots
 
 
 def render_class(c: CohomologyClass) -> str:
@@ -559,19 +558,17 @@ def render_class(c: CohomologyClass) -> str:
 
     The result is a "+"-joined, sorted list of monomial names, or "0";
     raises if the class is outside the monomial span (cannot happen when the
-    presentation relations hold).
+    presentation relations hold).  The chosen monomials are independent
+    modulo coboundaries, so the combination is unique.
     """
-    if c.is_zero():
-        return "0"
-    monos, vecs = _rendering_basis_cached(c.degree)
-    cob = list(coboundary_basis_vectors(c.degree))
-    columns = list(vecs) + cob
-    m = GF2Matrix.from_columns(columns)
-    sol = solve(m, cochain_to_vector(c.rep))
-    if sol is None:
-        raise ValueError("class is not a combination of generator monomials")
-    names = sorted(monomial_name(monos[i]) for i in range(len(monos)) if sol[i])
-    return "+".join(names)
+    monos, _, pivots = _rendering_basis_cached(c.degree)
+    w, mask = c.rep.bits, 0
+    while w:
+        pivot = pivots.get(w & -w)
+        if pivot is None:
+            raise ValueError("class is not a combination of generator monomials")
+        w, mask = w ^ pivot[0], mask ^ pivot[1]
+    return "+".join(sorted(monomial_name(m) for i, m in enumerate(monos) if mask >> i & 1)) or "0"
 
 
 # ---------------------------------------------------------------------------

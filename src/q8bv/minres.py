@@ -14,7 +14,7 @@ algebra, which the bar chains also use for their outer frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
     UNIT,
@@ -365,28 +365,43 @@ def verify_homotopy() -> Report:
 
 @dataclass(frozen=True)
 class MinCochain:
-    """Bimodule map P_degree -> A given by its values on the generators."""
+    """Bimodule map P_degree -> A, packed into one int.
+
+    Bit 8*slot + monomial is the coefficient of that monomial in the value on
+    generator slot.
+    """
 
     degree: int
-    values: tuple[AlgebraElement, ...]
+    bits: int
 
     def __post_init__(self) -> None:
-        if len(self.values) != GENERATOR_COUNTS[self.degree % 4]:
+        width = 8 * len(generators(self.degree))
+        if self.bits < 0 or self.bits >> width:
+            raise ValueError(f"bits out of range for the {width // 8} generators of degree {self.degree}")
+
+    @classmethod
+    def of(cls, degree: int, values: Sequence[AlgebraElement]) -> "MinCochain":
+        """The cochain with the given values on the generators, in slot order."""
+        if len(values) != len(generators(degree)):
             raise ValueError("wrong number of generator values")
+        return cls(degree, sum(v.bits << 8 * s for s, v in enumerate(values)))
 
     @classmethod
     def zero(cls, degree: int) -> "MinCochain":
-        return cls(degree, tuple(AlgebraElement.zero() for _ in generators(degree)))
+        return cls(degree, 0)
+
+    @property
+    def values(self) -> tuple[AlgebraElement, ...]:
+        """The values on the generators, in slot order."""
+        return tuple(AlgebraElement(self.bits >> 8 * s & 0xFF) for s in generators(self.degree))
 
     def __add__(self, other: "MinCochain") -> "MinCochain":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        return MinCochain(
-            self.degree, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        return MinCochain(self.degree, self.bits ^ other.bits)
 
     def __bool__(self) -> bool:
-        return any(self.values)
+        return self.bits != 0
 
     def __str__(self) -> str:
         if len(self.values) == 1:
@@ -404,8 +419,8 @@ def evaluate_min(f: MinCochain, e: MinResElement) -> AlgebraElement:
 def min_cochain_differential(f: MinCochain) -> MinCochain:
     """Precompose f with the next differential: (delta f)(gen) = f(d(gen))."""
     n = f.degree
-    values = []
+    bits = 0
     for slot in generators(n + 1):
         gen = MinResElement.generator(n + 1, slot)
-        values.append(evaluate_min(f, min_differential(gen)))
-    return MinCochain(n + 1, tuple(values))
+        bits |= evaluate_min(f, min_differential(gen)).bits << 8 * slot
+    return MinCochain(n + 1, bits)

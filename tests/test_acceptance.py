@@ -146,7 +146,7 @@ def test_criterion_5_presentation_suite():
     cat = hhring.catalog()
 
     def klass(degree, *values):
-        return hhring.CohomologyClass(MinCochain(degree, tuple(values)))
+        return hhring.CohomologyClass(MinCochain.of(degree, tuple(values)))
 
     witnesses = (
         (("u1", "u1"), klass(2, AlgebraElement.one(), MONO[Y])),

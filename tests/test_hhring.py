@@ -21,13 +21,13 @@ from q8bv.hhring import (
     render_class,
     verify_presentation,
 )
-from q8bv.minres import MinCochain, min_cochain_differential
+from q8bv.minres import GENERATOR_COUNTS, MinCochain, min_cochain_differential
 
 MONO = [AlgebraElement.monomial(i) for i in range(8)]
 
 
 def cochain(degree, *values):
-    return MinCochain(degree, tuple(values))
+    return MinCochain.of(degree, tuple(values))
 
 
 def klass(degree, *values):
@@ -40,8 +40,24 @@ def test_every_catalog_representative_is_a_cocycle():
 
 
 def test_non_cocycle_representative_is_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a cocycle"):
         CohomologyClass(cochain(0, MONO[X]))  # x is not central
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_cocycle_check_agrees_with_the_cochain_differential_on_basis_cochains(degree):
+    """Every basis cochain is a cocycle exactly in degrees 3 and 7: there the
+    next differential is f -> sum_b b* f b, which is zero on A."""
+    rejected = 0
+    for j in range(8 * GENERATOR_COUNTS[degree % 4]):
+        f = MinCochain(degree, 1 << j)
+        if min_cochain_differential(f):
+            rejected += 1
+            with pytest.raises(ValueError, match="not a cocycle"):
+                CohomologyClass(f)
+        else:
+            assert CohomologyClass(f).rep == f
+    assert bool(rejected) == (degree % 4 != 3)
 
 
 def test_catalog_degrees():
@@ -185,7 +201,7 @@ def test_delta_rejects_degree_zero():
 
 
 def test_delta_rejects_degree_nine():
-    nine = CohomologyClass(MinCochain(9, catalog()["u1"].rep.values))  # u1 shifted by z^2
+    nine = CohomologyClass(MinCochain(9, catalog()["u1"].rep.bits))  # u1 shifted by z^2
     with pytest.raises(ValueError, match=r"range 1\.\.8"):
         delta_class(nine)
 
@@ -272,6 +288,48 @@ def test_render_and_parse_round_trip():
         assert class_eq(class_of_expression(expr, cls.degree), cls)
 
 
+def test_render_and_parse_round_trip_on_every_product_bracket_and_delta_of_basis_monomials():
+    """g*m, [g, m] and Delta(m) for every generator g and rendering-basis
+    monomial m of degrees 0..8, wherever the result lies in degrees 0..8 (the
+    bracket of two degree-0 classes has degree -1 and is skipped)."""
+    cat = catalog()
+    results = []
+    for degree in range(9):
+        monos, _, _ = hhring._rendering_basis_cached(degree)
+        for mono in monos:
+            m = class_of_monomial(mono)
+            if degree >= 1:
+                results.append(delta_class(m))
+            for g in cat.values():
+                if g.degree + degree <= 8:
+                    results.append(cup_classes(g, m))
+                if 1 <= g.degree + degree <= 9:
+                    results.append(bracket_classes(g, m))
+    assert len(results) == 992
+    for r in results:
+        assert class_eq(class_of_expression(render_class(r), r.degree), r), render_class(r)
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("u1+w3", r"term 'w3': unknown generator 'w3'"),
+        ("u1+", r"empty term in expression 'u1\+'"),
+        ("u1^x", r"term 'u1\^x': exponent 'x' is not a nonnegative integer"),
+        ("u1p^-1*v2", r"term 'u1p\^-1\*v2': exponent '-1' is not a nonnegative integer"),
+    ],
+)
+def test_class_of_expression_names_the_bad_term(expr, message):
+    with pytest.raises(ValueError, match=message):
+        class_of_expression(expr, 1)
+
+
+def test_class_of_expression_reads_the_unit_monomial():
+    one = class_of_monomial(())
+    assert class_eq(class_of_expression(render_class(one), 0), one)
+    assert class_eq(class_of_expression("1+p1", 0), one + catalog()["p1"])
+
+
 def test_canonical_rep_matches_published_witnesses():
     cat = catalog()
     assert canonical_rep(cup_classes(cat["u1"], cat["u1"])) == cochain(
@@ -319,16 +377,18 @@ def test_clear_caches_reaches_caches_behind_wrapped_names(monkeypatch):
 
 
 def test_rendering_basis_matches_the_span_reference_and_is_reset():
-    from q8bv.gf2 import in_span
+    from q8bv.gf2 import GF2Vector, in_span
 
     for degree in range(9):
         cob = list(hhring.coboundary_basis_vectors(degree))
         chosen, vectors = [], []
         for mono in sorted(hhring._candidate_monomials(degree), key=lambda m: (len(m), m)):
-            vec = hhring.cochain_to_vector(class_of_monomial(mono).rep)
+            rep = class_of_monomial(mono).rep
+            vec = GF2Vector(8 * len(rep.values), rep.bits)
             if not in_span(vec, cob + vectors):
                 chosen.append(mono)
                 vectors.append(vec)
-        assert hhring._rendering_basis_cached(degree) == (tuple(chosen), tuple(vectors)), degree
+        monos, vecs, _ = hhring._rendering_basis_cached(degree)
+        assert (monos, vecs) == (tuple(chosen), tuple(v.bits for v in vectors)), degree
     hhring.clear_caches()
     assert hhring._rendering_basis_cached.cache_info().currsize == 0

@@ -138,25 +138,37 @@ def test_fault_injected_t1_fails_with_counterexample(monkeypatch):
     assert "x(x)x(x)1" in target.detail
 
 
+def test_min_cochain_constructors_reject_bad_input():
+    with pytest.raises(ValueError, match="wrong number of generator values"):
+        MinCochain.of(1, (MONO[X],))
+    with pytest.raises(ValueError, match="wrong number of generator values"):
+        MinCochain.of(0, (MONO[X], MONO[Y]))
+    for degree, bits in ((0, 1 << 8), (1, 1 << 16), (2, -1), (3, 0x1FF), (4, 1 << 8)):
+        with pytest.raises(ValueError, match="out of range"):
+            MinCochain(degree, bits)
+    assert MinCochain.of(1, (MONO[XY], MONO[X])) == MinCochain(1, 1 << XY | 1 << (8 + X))
+    assert MinCochain(1, 1 << XY | 1 << (8 + X)).values == (MONO[XY], MONO[X])
+
+
 def test_min_cochain_differential_of_socle_constant():
-    f = MinCochain(0, (MONO[XYXY],))
+    f = MinCochain.of(0, (MONO[XYXY],))
     assert not min_cochain_differential(f)
 
 
 def test_min_cochain_differential_squares_to_zero():
     for bits in range(8):
-        f = MinCochain(0, (MONO[bits],))
+        f = MinCochain.of(0, (MONO[bits],))
         assert not min_cochain_differential(min_cochain_differential(f))
 
 
 def test_image_contains_known_coboundary():
     # delta^0 of the constant yx is (xyx, yxy)
-    f = MinCochain(0, (MONO[YX],))
-    assert min_cochain_differential(f) == MinCochain(1, (MONO[XYX], MONO[YXY]))
+    f = MinCochain.of(0, (MONO[YX],))
+    assert min_cochain_differential(f) == MinCochain.of(1, (MONO[XYX], MONO[YXY]))
 
 
 def test_evaluate_min_is_bimodule_linear():
-    f = MinCochain(1, (MONO[XY], MONO[X]))
+    f = MinCochain.of(1, (MONO[XY], MONO[X]))
     e = elem(1, (X, 0, Y), (Y, 1, UNIT))
     expected = MONO[X] * MONO[XY] * MONO[Y] + MONO[Y] * MONO[X]
     assert evaluate_min(f, e) == expected
