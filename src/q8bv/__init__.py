@@ -12,7 +12,7 @@ directions (compare), cohomology classes with exact class arithmetic
 from .algebra import AlgebraElement, GroupAlgebraOracle, bilinear_form, dual_basis
 from .bar import BarChain, BarCochain, HochschildChain
 from .compare import phi, psi, transport_to_bar, transport_to_min, verify_chain_maps
-from .gf2 import GF2Matrix, GF2Vector, in_span, kernel_basis, rank
+from .gf2 import rank
 from .hhring import (
     CohomologyClass,
     bracket_classes,
@@ -33,8 +33,6 @@ __all__ = [
     "BarChain",
     "BarCochain",
     "CohomologyClass",
-    "GF2Matrix",
-    "GF2Vector",
     "GroupAlgebraOracle",
     "HochschildChain",
     "MinCochain",
@@ -49,8 +47,6 @@ __all__ = [
     "dual_basis",
     "hh_dim",
     "homotopy_t",
-    "in_span",
-    "kernel_basis",
     "min_differential",
     "phi",
     "psi",

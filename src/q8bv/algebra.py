@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from . import gf2
+
 
 BASIS_WORDS: tuple[str, ...] = ("", "x", "y", "xy", "yx", "xyx", "yxy", "xyxy")
 BASIS_NAMES: tuple[str, ...] = ("1",) + BASIS_WORDS[1:]
@@ -407,17 +409,11 @@ def center_basis() -> list[AlgebraElement]:
     """Basis of Z(A), computed by brute-force commutation against x and y."""
     gens = [AlgebraElement.monomial(X), AlgebraElement.monomial(Y)]
     out = []
-    span: list[int] = []
+    pivots: gf2.Pivots = {}
     for bits in range(256):
         a = AlgebraElement(bits)
         if any(a * g + g * a for g in gens):
             continue
-        w = bits
-        for b in span:
-            if w & (b & -b):
-                w ^= b
-        if w:
-            span.append(w)
-            span.sort(key=lambda t: t & -t)
+        if gf2.insert(pivots, bits)[0]:
             out.append(a)
     return out

@@ -1,147 +1,74 @@
-"""Exact linear algebra over GF(2).
+"""Exact GF(2) elimination on vectors packed into Python ints.
 
-Vectors and matrix rows are packed into Python integers (bit i = coordinate i),
-which is both the simplest and the fastest dense representation at the
-dimensions that occur here (a few hundred at most).  Elimination always picks
-the first nonzero column and the top-most available row, so every returned
-basis is deterministic and usable as a test fixture.
+Bit i of an int is coordinate i.  An echelon basis is one dict, ``pivots``,
+mapping the lowest set bit of each row to ``(row, tag)``: no two rows share
+their lowest set bit.  A tag is an int that is XORed along with its row, so
+it records which inserted vectors a row combines.
+
+Reducing a vector clears its pivot bits, lowest first.  The remainder is the
+unique member of its coset modulo the span that has no pivot bit set, since
+the pivot bits are the lowest set bits of the nonzero span members; so it
+does not depend on the order in which the rows were inserted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-
-@dataclass(frozen=True)
-class GF2Vector:
-    """Fixed-length coefficient vector over GF(2)."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bits out of range for length {self.n}")
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
+Pivots = dict[int, tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class GF2Matrix:
-    """Row-major GF(2) matrix; row r is the integer rows[r]."""
-
-    rows: tuple[int, ...]
-    cols: int
-
-    def __post_init__(self) -> None:
-        for r in self.rows:
-            if r < 0 or r >> self.cols:
-                raise ValueError("row exceeds column count")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "GF2Matrix":
-        packed = []
-        cols = 0
-        for row in rows:
-            bits = 0
-            n = 0
-            for c in row:
-                if c & 1:
-                    bits |= 1 << n
-                n += 1
-            cols = max(cols, n)
-            packed.append(bits)
-        return cls(tuple(packed), cols)
-
-    @classmethod
-    def from_columns(cls, columns: list[GF2Vector]) -> "GF2Matrix":
-        if not columns:
-            return cls((), 0)
-        nrows = columns[0].n
-        if any(c.n != nrows for c in columns):
-            raise ValueError("columns differ in length")
-        rows = []
-        for r in range(nrows):
-            bits = 0
-            for c, v in enumerate(columns):
-                if v.bits >> r & 1:
-                    bits |= 1 << c
-            rows.append(bits)
-        return cls(tuple(rows), len(columns))
-
-    def apply(self, v: GF2Vector) -> GF2Vector:
-        if v.n != self.cols:
-            raise ValueError("dimension mismatch")
-        bits = 0
-        for r, row in enumerate(self.rows):
-            if (row & v.bits).bit_count() & 1:
-                bits |= 1 << r
-        return GF2Vector(len(self.rows), bits)
+def reduce(pivots: Pivots, w: int) -> tuple[int, int]:
+    """(remainder, tag): w with every pivot bit cleared, and the XOR of the
+    tags of the rows that cleared them."""
+    remainder = tag = 0
+    while w:
+        low = w & -w
+        hit = pivots.get(low)
+        if hit is None:
+            remainder |= low
+            w ^= low
+        else:
+            w ^= hit[0]
+            tag ^= hit[1]
+    return remainder, tag
 
 
-def _rref(rows: list[int], cols: int) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column per pivot row)."""
-    rows = list(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i] >> col & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] >> col & 1:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-    return rows, pivots
+def insert(pivots: Pivots, w: int, tag: int = 0) -> tuple[int, int]:
+    """Reduce w and add a nonzero remainder to pivots as a new row.
+
+    Returns (remainder, tag of the remainder); the remainder is 0 exactly
+    when w was already in the span, and its tag then says how.
+    """
+    remainder, used = reduce(pivots, w)
+    tag ^= used
+    if remainder:
+        pivots[remainder & -remainder] = (remainder, tag)
+    return remainder, tag
 
 
-def rank(m: GF2Matrix) -> int:
-    """GF(2) row rank by Gaussian elimination."""
-    _, pivots = _rref(list(m.rows), m.cols)
-    return len(pivots)
+def echelon(rows: Iterable[int]) -> Pivots:
+    """Echelon basis of the span of rows, every tag 0."""
+    pivots: Pivots = {}
+    for w in rows:
+        insert(pivots, w)
+    return pivots
 
 
-def kernel_basis(m: GF2Matrix) -> list[GF2Vector]:
-    """Deterministic basis of {v : m.apply(v) = 0}; size = cols - rank."""
-    rows, pivots = _rref(list(m.rows), m.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for prow, pcol in enumerate(pivots):
-            if rows[prow] >> free & 1:
-                bits |= 1 << pcol
-        basis.append(GF2Vector(m.cols, bits))
-    return basis
+def rank(rows: Iterable[int]) -> int:
+    """Dimension of the span of rows."""
+    return len(echelon(rows))
 
 
-def row_space_basis(vectors: list[GF2Vector]) -> list[GF2Vector]:
-    """Deterministic (RREF) basis of the span of the given vectors."""
-    if not vectors:
-        return []
-    n = vectors[0].n
-    rows, pivots = _rref([v.bits for v in vectors], n)
-    return [GF2Vector(n, rows[i]) for i in range(len(pivots))]
+def kernel(rows: Iterable[int]) -> list[int]:
+    """Basis of the vectors v whose set bits select rows that XOR to zero.
 
-
-def in_span(v: GF2Vector, basis: list[GF2Vector]) -> bool:
-    """True iff v lies in the GF(2) span of basis, by augmented elimination."""
-    for b in basis:
-        if b.n != v.n:
-            raise ValueError("length mismatch")
-    rows, pivots = _rref([b.bits for b in basis], v.n)
-    w = v.bits
-    for prow, pcol in enumerate(pivots):
-        if w >> pcol & 1:
-            w ^= rows[prow]
-    return w == 0
-
+    Row i is the image of basis vector i, so this is the kernel of that map;
+    there is one basis vector per row that depends on the rows before it.
+    """
+    pivots: Pivots = {}
+    out = []
+    for i, w in enumerate(rows):
+        remainder, tag = insert(pivots, w, 1 << i)
+        if not remainder:
+            out.append(tag)
+    return out

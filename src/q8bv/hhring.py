@@ -2,17 +2,17 @@
 
 Classes are cocycles with equality decided modulo coboundaries by exact GF(2)
 linear algebra on the packed int of each representative (MinCochain.bits):
-the cocycle check applies the cached matrix of the cochain differential, and
-class equality and canonical representatives reduce against the cached
-coboundary RREF rows.  Products and brackets are computed by transporting
-representatives to the normalized bar complex through psi, applying the
-bar-level operation there, and pulling the result back through phi; the
-degree -1 operator applies compare.delta_matrix, the same composite as one
-matrix per degree.  Classes render as sums of generator monomials by
-reduction against cached pivots, each of which records the chosen monomials
-it combines.  The reference tables this module verifies against are the
-published generator catalog, relation list, and structure tables for this
-algebra.
+the cocycle check applies the cached matrix of the cochain differential (one
+per degree mod 4), and class equality and canonical representatives are one
+gf2.reduce against the cached echelon pivots of the coboundaries.  Products
+and brackets are computed by transporting representatives to the normalized
+bar complex through psi, applying the bar-level operation there, and pulling
+the result back through phi; the degree -1 operator applies
+compare.delta_matrix, the same composite as one matrix per degree.  Classes
+render as sums of generator monomials by one gf2.reduce against cached
+pivots, whose tags record the chosen monomials each row combines.  The
+reference tables this module verifies against are the published generator
+catalog, relation list, and structure tables for this algebra.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import gf2
 from .algebra import ONE, UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
 from .bar import bracket as bar_bracket, cup as bar_cup
 from .compare import (
@@ -30,7 +31,6 @@ from .compare import (
     transport_to_bar,
     transport_to_min,
 )
-from .gf2 import GF2Matrix, GF2Vector, kernel_basis, rank, row_space_basis
 from .minres import GENERATOR_COUNTS, MinCochain, min_cochain_differential
 from .report import Check, Report
 
@@ -46,10 +46,16 @@ def _check_degree(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _delta_rows(r: int) -> tuple[int, ...]:
+    """The cochain differential from degree r, 0 <= r < 4, as a matrix: row j
+    is the packed image of the j-th basis cochain of degree r."""
+    return tuple(min_cochain_differential(MinCochain(r, 1 << j)).bits for j in range(_width(r)))
+
+
 def _delta_image_vectors(n: int) -> tuple[int, ...]:
-    """The cochain differential from degree n as a matrix: row j is the
-    packed image of the j-th basis cochain of degree n."""
-    return tuple(min_cochain_differential(MinCochain(n, 1 << j)).bits for j in range(_width(n)))
+    """The cochain differential from degree n; the resolution is 4-periodic,
+    so it is the cached matrix of degree n % 4."""
+    return _delta_rows(n % 4)
 
 
 def _apply(rows: tuple[int, ...], bits: int) -> int:
@@ -63,46 +69,31 @@ def _apply(rows: tuple[int, ...], bits: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def coboundary_basis_vectors(n: int) -> tuple[GF2Vector, ...]:
+def coboundaries(n: int) -> gf2.Pivots:
+    """Echelon pivots of the degree-n coboundaries; callers must not mutate them."""
     _check_degree(n)
-    if n == 0:
-        return ()
-    return tuple(row_space_basis([GF2Vector(_width(n), r) for r in _delta_image_vectors(n - 1)]))
+    return gf2.echelon(_delta_image_vectors(n - 1)) if n else {}
 
 
 def coboundary_space(n: int) -> list[MinCochain]:
     """Deterministic basis of the coboundaries in degree n."""
-    return [MinCochain(n, v.bits) for v in coboundary_basis_vectors(n)]
+    return [MinCochain(n, row) for row, _ in coboundaries(n).values()]
 
 
 def cocycle_space(n: int) -> list[MinCochain]:
     """Deterministic basis of the cocycles in degree n."""
     _check_degree(n)
-    m = GF2Matrix.from_columns([GF2Vector(_width(n + 1), r) for r in _delta_image_vectors(n)])
-    return [MinCochain(n, v.bits) for v in kernel_basis(m)]
+    return [MinCochain(n, v) for v in gf2.kernel(_delta_image_vectors(n))]
 
 
 def hh_dim(n: int) -> int:
     """Exact dimension of the degree-n cohomology."""
     _check_degree(n)
-    rank_out = rank(GF2Matrix(_delta_image_vectors(n), _width(n + 1)))
-    rank_in = len(coboundary_basis_vectors(n))
-    return _width(n) - rank_out - rank_in
-
-
-def _reduce(n: int, w: int) -> int:
-    """w modulo the degree-n coboundaries, by the cached RREF rows.
-
-    The pivot of each row is its lowest set bit, and no other row has it.
-    """
-    for b in coboundary_basis_vectors(n):
-        if w & b.bits & -b.bits:
-            w ^= b.bits
-    return w
+    return _width(n) - gf2.rank(_delta_image_vectors(n)) - len(coboundaries(n))
 
 
 def is_coboundary(f: MinCochain) -> bool:
-    return _reduce(f.degree, f.bits) == 0
+    return gf2.reduce(coboundaries(f.degree), f.bits)[0] == 0
 
 
 @dataclass(frozen=True)
@@ -138,8 +129,8 @@ def class_eq(a: CohomologyClass, b: CohomologyClass) -> bool:
 
 
 def canonical_rep(c: CohomologyClass) -> MinCochain:
-    """Deterministic coset representative: reduce modulo the coboundary RREF basis."""
-    return MinCochain(c.degree, _reduce(c.degree, c.rep.bits))
+    """Deterministic coset representative: the unique one with no coboundary pivot bit set."""
+    return MinCochain(c.degree, gf2.reduce(coboundaries(c.degree), c.rep.bits)[0])
 
 
 def cup_classes(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
@@ -366,7 +357,7 @@ def presentation_monomial_count(n: int) -> int:
             return None
         return index[merged]
 
-    rows = []
+    pivots: gf2.Pivots = {}
     for rel in RELATIONS:
         d = monomial_degree(rel[0])
         if d > n:
@@ -377,9 +368,8 @@ def presentation_monomial_count(n: int) -> int:
                 i = reduce_product(term, m)
                 if i is not None:
                     bits ^= 1 << i
-            if bits:
-                rows.append(GF2Vector(len(cands), bits))
-    return len(cands) - len(row_space_basis(rows))
+            gf2.insert(pivots, bits)
+    return len(cands) - len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +413,7 @@ def delta_table_inputs() -> list[tuple[str, ...]]:
         rows.append(tuple(sorted((a, "z"), key=GENERATOR_ORDER.index)))
     for pair in EXPECTED_DELTA_NONZERO:
         rows.append(tuple(sorted(pair, key=GENERATOR_ORDER.index)))
-    seen: set[tuple[str, ...]] = set()
-    out = []
-    for r in rows:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
+    return list(dict.fromkeys(rows))
 
 
 def monomial_name(m: Monomial) -> str:
@@ -447,9 +431,20 @@ def monomial_name(m: Monomial) -> str:
 class StructureTables:
     """Computed delta and bracket tables plus their consistency checks."""
 
-    delta: list[tuple[tuple[str, ...], CohomologyClass]] = field(default_factory=list)
-    bracket: list[tuple[tuple[str, str], CohomologyClass]] = field(default_factory=list)
+    delta: list[tuple[tuple[str, ...], CohomologyClass]]
+    bracket: list[tuple[tuple[str, str], CohomologyClass]]
     checks: list[Check] = field(default_factory=list)
+
+
+def delta_table() -> list[tuple[tuple[str, ...], CohomologyClass]]:
+    """The degree -1 operator on each of delta_table_inputs(), in order."""
+    return [(args, delta_or_zero(class_of_monomial(args))) for args in delta_table_inputs()]
+
+
+def bracket_table() -> list[tuple[tuple[str, str], CohomologyClass]]:
+    """The bracket on each of the 45 generator pairs, in catalog order."""
+    cat = catalog()
+    return [((a, b), bracket_classes(cat[a], cat[b])) for a, b in generator_pairs()]
 
 
 def build_structure_tables() -> StructureTables:
@@ -460,26 +455,17 @@ def build_structure_tables() -> StructureTables:
     entry against its published value.
     """
     cat = catalog()
-    tables = StructureTables()
+    tables = StructureTables(delta_table(), bracket_table())
 
-    for args in delta_table_inputs():
-        cls = class_of_monomial(args)
-        value = delta_or_zero(cls)
-        tables.delta.append((args, value))
-        key = args if len(args) == 2 else None
-        expected = EXPECTED_DELTA_NONZERO.get(key, "0") if key else "0"
-        ok = class_eq(value, class_of_expression(expected, max(cls.degree - 1, 0))) if cls.degree else value.is_zero()
-        tables.checks.append(
-            Check(f"Delta({monomial_name(args)}) = {expected}", ok)
-        )
+    for args, value in tables.delta:
+        expected = EXPECTED_DELTA_NONZERO.get(args, "0")
+        ok = class_eq(value, class_of_expression(expected, value.degree))
+        tables.checks.append(Check(f"Delta({monomial_name(args)}) = {expected}", ok))
 
-    for a, b in generator_pairs():
-        br = bracket_classes(cat[a], cat[b])
-        tables.bracket.append(((a, b), br))
+    for (a, b), br in tables.bracket:
         expected = EXPECTED_BRACKET_NONZERO.get((a, b), "0")
-        deg = br.degree
         tables.checks.append(
-            Check(f"[{a}, {b}] = {expected}", class_eq(br, class_of_expression(expected, deg)))
+            Check(f"[{a}, {b}] = {expected}", class_eq(br, class_of_expression(expected, br.degree)))
         )
         # BV identity cross-check; terms with a degree-0 Delta argument vanish
         prod = cup_classes(cat[a], cat[b])
@@ -527,27 +513,21 @@ def seven_term_identity(a: str, b: str, c: str) -> bool:
 @lru_cache(maxsize=None)
 def _rendering_basis_cached(
     degree: int,
-) -> tuple[tuple[Monomial, ...], tuple[int, ...], dict[int, tuple[int, int]]]:
+) -> tuple[tuple[Monomial, ...], tuple[int, ...], gf2.Pivots]:
     """Greedy independent set of monomial classes spanning the degree, with
     their packed vectors and the pivots that render_class reduces against.
 
-    The pivots map a lowest set bit to (row, mask): no other row has that
-    bit, and the row equals, modulo coboundaries, the sum of the chosen
-    monomials whose indices are the set bits of mask.  They start from the
-    coboundary RREF rows (mask 0); each candidate is reduced against them,
-    and a nonzero remainder means independence and becomes a pivot.
+    The pivots are a copy of the coboundary pivots (tag 0) with each chosen
+    monomial vector inserted under tag 1 << its index, so the tag of a row
+    says which chosen monomials it equals modulo coboundaries.  A candidate
+    with a nonzero remainder is independent of those before it.
     """
-    pivots = {b.bits & -b.bits: (b.bits, 0) for b in coboundary_basis_vectors(degree)}
+    pivots = dict(coboundaries(degree))
     chosen: list[Monomial] = []
     vectors: list[int] = []
     for mono in sorted(_candidate_monomials(degree), key=lambda m: (len(m), m)):
         vec = class_of_monomial(mono).rep.bits
-        w, mask = vec, 1 << len(chosen)
-        while w and w & -w in pivots:
-            row, row_mask = pivots[w & -w]
-            w, mask = w ^ row, mask ^ row_mask
-        if w:
-            pivots[w & -w] = (w, mask)
+        if gf2.insert(pivots, vec, 1 << len(chosen))[0]:
             chosen.append(mono)
             vectors.append(vec)
     return tuple(chosen), tuple(vectors), pivots
@@ -562,12 +542,9 @@ def render_class(c: CohomologyClass) -> str:
     modulo coboundaries, so the combination is unique.
     """
     monos, _, pivots = _rendering_basis_cached(c.degree)
-    w, mask = c.rep.bits, 0
-    while w:
-        pivot = pivots.get(w & -w)
-        if pivot is None:
-            raise ValueError("class is not a combination of generator monomials")
-        w, mask = w ^ pivot[0], mask ^ pivot[1]
+    remainder, mask = gf2.reduce(pivots, c.rep.bits)
+    if remainder:
+        raise ValueError("class is not a combination of generator monomials")
     return "+".join(sorted(monomial_name(m) for i, m in enumerate(monos) if mask >> i & 1)) or "0"
 
 
@@ -578,7 +555,7 @@ def render_class(c: CohomologyClass) -> str:
 #: the lru-cached functions clear_caches resets, held as defined here so the
 #: reset still reaches their caches when a caller rebinds or wraps the names
 _CACHED_FUNCTIONS = (
-    phi, _delta_image_vectors, coboundary_basis_vectors, catalog, _rendering_basis_cached,
+    phi, _delta_rows, coboundaries, catalog, _rendering_basis_cached,
 )
 
 
@@ -586,9 +563,9 @@ def clear_caches() -> None:
     """Reset every memo built on the resolution tables, psi included.
 
     Drops the psi memo, the step tables and the Delta matrices, phi, the
-    coboundary bases, the catalog, the memoized monomial classes and the
-    rendering bases; each is rebuilt from the tables as they stand at the
-    next use.
+    cochain differential matrices, the coboundary pivots, the catalog, the
+    memoized monomial classes and the rendering bases; each is rebuilt from
+    the tables as they stand at the next use.
     """
     clear_psi_memo()
     for cached in _CACHED_FUNCTIONS:

@@ -376,19 +376,49 @@ def test_clear_caches_reaches_caches_behind_wrapped_names(monkeypatch):
     assert original.cache_info().currsize == 0
 
 
-def test_rendering_basis_matches_the_span_reference_and_is_reset():
-    from q8bv.gf2 import GF2Vector, in_span
+def _span_closure(vectors) -> set[int]:
+    """Every GF(2) combination of vectors, by closure rather than elimination."""
+    span = {0}
+    for v in vectors:
+        if v not in span:
+            span |= {s ^ v for s in span}
+    return span
 
+
+def test_rendering_basis_matches_the_span_reference_and_is_reset():
     for degree in range(9):
-        cob = list(hhring.coboundary_basis_vectors(degree))
+        images = hhring._delta_image_vectors(degree - 1) if degree else ()
+        span = _span_closure(images)  # at most 2**16 ints: the cochains are 16 bits wide
         chosen, vectors = [], []
         for mono in sorted(hhring._candidate_monomials(degree), key=lambda m: (len(m), m)):
-            rep = class_of_monomial(mono).rep
-            vec = GF2Vector(8 * len(rep.values), rep.bits)
-            if not in_span(vec, cob + vectors):
+            vec = class_of_monomial(mono).rep.bits
+            if vec not in span:
                 chosen.append(mono)
                 vectors.append(vec)
+                span |= {s ^ vec for s in span}
         monos, vecs, _ = hhring._rendering_basis_cached(degree)
-        assert (monos, vecs) == (tuple(chosen), tuple(v.bits for v in vectors)), degree
+        assert (monos, vecs) == (tuple(chosen), tuple(vectors)), degree
     hhring.clear_caches()
     assert hhring._rendering_basis_cached.cache_info().currsize == 0
+
+
+def test_rendering_and_canonical_reps_leave_the_coboundary_pivots_unchanged():
+    before = {n: dict(hhring.coboundaries(n)) for n in range(9)}
+    for n in range(9):
+        monos, _, _ = hhring._rendering_basis_cached(n)
+        for mono in monos:
+            cls = class_of_monomial(mono)
+            render_class(cls)
+            canonical_rep(cls)
+    assert {n: hhring.coboundaries(n) for n in range(9)} == before
+
+
+def test_cocycle_check_caches_one_matrix_per_degree_mod_4():
+    hhring.clear_caches()
+    for n in range(40):
+        CohomologyClass.zero(n)
+    assert hhring._delta_rows.cache_info().currsize <= 4
+    for n in range(40):
+        width = 8 * len(MinCochain.zero(n).values)
+        uncached = tuple(min_cochain_differential(MinCochain(n, 1 << j)).bits for j in range(width))
+        assert hhring._delta_image_vectors(n) == uncached, n
