@@ -5,26 +5,25 @@ The package builds the algebra and its multiplication oracle (algebra), the
 normalized bar complex with cup, circle products, bracket, boundary, Connes
 operator and the degree -1 operator (bar), the period-4 minimal bimodule
 resolution with its weak self-homotopy (minres), comparison morphisms in both
-directions (compare), cohomology classes with exact class arithmetic
-(hhring), and a verification/tabulation command line (cli).
+directions (compare), and cohomology classes with exact class arithmetic
+(hhring).  Apart from that product stand the verification suites with every
+value they check against (checks) and the command line (cli).
 """
 
 from .algebra import AlgebraElement, GroupAlgebraOracle, bilinear_form, dual_basis
 from .bar import BarChain, BarCochain, HochschildChain
-from .compare import phi, psi, transport_to_bar, transport_to_min, verify_chain_maps
+from .compare import phi, psi, transport_to_bar, transport_to_min
 from .gf2 import rank
 from .hhring import (
     CohomologyClass,
     bracket_classes,
     catalog,
     class_eq,
-    coboundary_space,
     cup_classes,
     delta_class,
     hh_dim,
-    verify_presentation,
 )
-from .minres import MinCochain, MinResElement, homotopy_t, min_differential, verify_homotopy
+from .minres import MinCochain, MinResElement, homotopy_t, min_differential
 
 __version__ = "0.1.0"
 
@@ -41,7 +40,6 @@ __all__ = [
     "bracket_classes",
     "catalog",
     "class_eq",
-    "coboundary_space",
     "cup_classes",
     "delta_class",
     "dual_basis",
@@ -53,8 +51,5 @@ __all__ = [
     "rank",
     "transport_to_bar",
     "transport_to_min",
-    "verify_chain_maps",
-    "verify_presentation",
-    "verify_homotopy",
     "__version__",
 ]

@@ -55,6 +55,8 @@ class TermSum:
     @classmethod
     def of(cls, degree: int, terms: Iterable[Any]):
         """Sum of basis terms, each in the form the _pack of the subclass reads."""
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
         acc: dict[Mids, int] = {}
         for term in terms:
             mids, bits = cls._pack(term)
@@ -191,15 +193,6 @@ class BarCochain:
         return BarCochain(self.degree, lambda args: f(args) ^ g(args))
 
 
-def constant_cochain(value: AlgebraElement) -> BarCochain:
-    bits = value.bits
-    return BarCochain(0, lambda args: bits)
-
-
-def zero_cochain(degree: int) -> BarCochain:
-    return BarCochain(degree, lambda args: 0)
-
-
 def evaluate_on_chain(f: BarCochain, chain: BarChain) -> AlgebraElement:
     """Pair a cochain with a chain: sum of left * f(mids) * right."""
     if chain.degree != f.degree:
@@ -271,15 +264,6 @@ def _insertion_degree(name: str, f: BarCochain, g: BarCochain) -> int:
     if degree < 0:
         raise ValueError(f"{name} of degrees {f.degree} and {g.degree} would have degree {degree}")
     return degree
-
-
-def circle_i(f: BarCochain, g: BarCochain, i: int) -> BarCochain:
-    """Insert the value of g into slot i of f (1 <= i <= deg f)."""
-    n, m, fmask, gmask = f.degree, g.degree, f.mask, g.mask
-    if not 1 <= i <= n:
-        raise ValueError(f"slot {i} out of range for degree {n}")
-    slots = range(i - 1, i)
-    return BarCochain(n + m - 1, lambda args: _insert(fmask, gmask, m, slots, args))
 
 
 def circle(f: BarCochain, g: BarCochain) -> BarCochain:

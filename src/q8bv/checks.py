@@ -1,0 +1,657 @@
+"""The verification suites, and every hand-entered value they check against.
+
+Each suite recomputes published facts through the product modules and
+compares them with values written out here: the transport and psi_3 tables
+of the degree-1 and degree-3 computations, the low-degree phi values, the
+cup witnesses, the relation list of the presentation and the bracket table.
+The one published table the product reads, hhring.EXPECTED_DELTA_NONZERO,
+stays in hhring because its keys are rows of the Delta table.  No product
+module imports this one.
+"""
+from __future__ import annotations
+
+import itertools
+from typing import Callable
+
+from . import algebra, bar, compare, gf2, hhring
+from .algebra import (
+    BASIS_NAMES,
+    MONO_MUL,
+    ONE,
+    UNIT,
+    X,
+    XY,
+    Y,
+    YX,
+    AlgebraElement,
+    dual_basis,
+    left_act,
+    right_act,
+    rows,
+)
+from .bar import BarChain, Mids, bar_differential
+from .compare import phi, phi_on_element, psi
+from .hhring import CohomologyClass, Monomial, monomial_name
+from .minres import (
+    MinCochain,
+    MinResElement,
+    augmentation,
+    generators,
+    homotopy_t,
+    min_differential,
+    rho,
+    tau,
+)
+from .report import Check, Report
+
+
+def _failed(name: str, fails: list[str]) -> Check:
+    """A check that passes when fails is empty, with the fails as its detail."""
+    return Check(name, not fails, "; ".join(fails))
+
+
+# ---------------------------------------------------------------------------
+# Suite algebra
+# ---------------------------------------------------------------------------
+
+
+def suite_algebra() -> Report:
+    checks = []
+
+    oracle = algebra.GroupAlgebraOracle()
+    agree = oracle.images_independent() and oracle.pullback_table() == MONO_MUL
+    checks.append(Check("multiplication table agrees with group-algebra oracle (64 products)", agree))
+
+    mono = [AlgebraElement.monomial(i) for i in range(8)]
+    assoc = all(
+        (mono[a] * mono[b]) * mono[c] + mono[a] * (mono[b] * mono[c]) == AlgebraElement.zero()
+        for a in range(8) for b in range(8) for c in range(8)
+    )
+    checks.append(Check("associativity on all 512 basis triples", assoc))
+
+    x, y = mono[X], mono[Y]
+    rels = (
+        x * x + mono[algebra.YXY],
+        y * y + mono[algebra.XYX],
+        x * x * x * x,
+        y * y * y * y,
+    )
+    checks.append(Check("defining relations vanish", not any(rels)))
+
+    sym = all(
+        algebra.bilinear_form(mono[a], mono[b]) == algebra.bilinear_form(mono[b], mono[a])
+        for a in range(8) for b in range(8)
+    )
+    checks.append(Check("bilinear form symmetric (64 pairs)", sym))
+
+    assoc_form = all(
+        algebra.bilinear_form(mono[a] * mono[b], mono[c])
+        == algebra.bilinear_form(mono[a], mono[b] * mono[c])
+        for a in range(8) for b in range(8) for c in range(8)
+    )
+    checks.append(Check("bilinear form associative (512 triples)", assoc_form))
+
+    gram = [sum(algebra.bilinear_form(mono[a], mono[b]) << b for b in range(8)) for a in range(8)]
+    checks.append(Check("Gram matrix nondegenerate", gf2.rank(gram) == 8))
+
+    expected_dual = (7, 6, 5, 3, 4, 2, 1, 0)
+    dual_ok = tuple(dual_basis(i) for i in range(8)) == expected_dual
+    involution = all(dual_basis(dual_basis(i)) == i for i in range(8))
+    checks.append(Check("dual basis table (8 entries) and involution", dual_ok and involution))
+
+    return Report("algebra", checks)
+
+
+# ---------------------------------------------------------------------------
+# Suite homotopy
+# ---------------------------------------------------------------------------
+
+SLOT_NAMES: tuple[tuple[str, ...], ...] = (("e",), ("x", "y"), ("rx", "ry"), ("e",))
+
+
+def _basis_arguments(degree: int):
+    for slot in generators(degree):
+        for b in range(8):
+            yield MinResElement.of(degree, [(b, slot, UNIT)]), b, slot
+
+
+def _arg_name(degree: int, b: int, slot: int) -> str:
+    return f"{BASIS_NAMES[b]}(x){SLOT_NAMES[degree % 4][slot]}(x)1"
+
+
+def suite_homotopy() -> Report:
+    """Every weak self-homotopy identity on all generator-by-basis arguments."""
+    checks: list[Check] = []
+
+    fails = []
+    for b in range(8):
+        if augmentation(homotopy_t(-1, AlgebraElement.monomial(b))) + AlgebraElement.monomial(b):
+            fails.append(BASIS_NAMES[b])
+    checks.append(_failed("d0 t(-1) = Id", fails[:3]))
+
+    for p in range(3):
+        fails = []
+        for e, b, slot in _basis_arguments(p):
+            lhs = min_differential(homotopy_t(p, e))
+            if p == 0:
+                lhs = lhs + homotopy_t(-1, augmentation(e))
+            else:
+                lhs = lhs + homotopy_t(p - 1, min_differential(e))
+            if lhs + e:
+                fails.append(_arg_name(p, b, slot))
+        checks.append(_failed(f"d{p + 1} t{p} + t{p - 1} d{p} = Id", fails[:3]))
+
+    fails = []
+    for e, b, slot in _basis_arguments(3):
+        lhs = homotopy_t(2, min_differential(e)) + rho(tau(e))
+        if lhs + e:
+            fails.append(_arg_name(3, b, slot))
+    checks.append(_failed("t2 d3 + rho tau = Id", fails[:3]))
+
+    fails = []
+    for b in range(8):
+        got = tau(rho(AlgebraElement.monomial(b)))
+        if got + AlgebraElement.monomial(b):
+            fails.append(BASIS_NAMES[b])
+    checks.append(_failed("tau rho = Id", fails[:3]))
+
+    fails = []
+    for b in range(8):
+        if homotopy_t(0, homotopy_t(-1, AlgebraElement.monomial(b))):
+            fails.append(f"t0 t(-1) on {BASIS_NAMES[b]}")
+    for p in range(4):
+        for e, b, slot in _basis_arguments(p):
+            if homotopy_t(p + 1, homotopy_t(p, e)):
+                fails.append(f"t{p + 1} t{p} on {_arg_name(p, b, slot)}")
+    checks.append(_failed("t(i+1) t(i) = 0", fails[:3]))
+
+    return Report("homotopy", checks)
+
+
+# ---------------------------------------------------------------------------
+# Suite comparison
+# ---------------------------------------------------------------------------
+
+
+def phi_reference(n: int) -> tuple[BarChain, ...]:
+    """Independent expansion of the first six comparison-map values.
+
+    Degrees 0..3 are written out term by term; degree 4 applies the
+    sum-over-dual-pairs formula to the degree-3 value and degree 5 prepends a
+    generator, each using only bar-side primitives (no recursion through the
+    stored differentials).
+    """
+
+    def chain(*tensors: tuple[int, tuple[int, ...], int]) -> BarChain:
+        return BarChain.of(len(tensors[0][1]) if tensors else 0, tensors)
+
+    if n == 0:
+        return (chain((UNIT, (), UNIT)),)
+    if n == 1:
+        return (chain((UNIT, (X,), UNIT)), (chain((UNIT, (Y,), UNIT))))
+    if n == 2:
+        return (
+            chain((UNIT, (X, X), UNIT), (UNIT, (Y, X), Y), (UNIT, (YX, Y), UNIT)),
+            chain((UNIT, (Y, Y), UNIT), (UNIT, (X, Y), X), (UNIT, (XY, X), UNIT)),
+        )
+    if n == 3:
+        return (
+            chain(
+                (UNIT, (X, X, X), UNIT),
+                (UNIT, (X, Y, X), Y),
+                (UNIT, (X, YX, Y), UNIT),
+                (UNIT, (Y, Y, Y), UNIT),
+                (UNIT, (Y, X, Y), X),
+                (UNIT, (Y, XY, X), UNIT),
+            ),
+        )
+    if n == 4:
+        deg3 = phi_reference(3)[0]
+        acc = BarChain.zero(4)
+        for b in range(1, 8):
+            framed = bar.right_multiply(
+                bar.left_multiply(AlgebraElement.monomial(b), deg3),
+                AlgebraElement.monomial(dual_basis(b)),
+            )
+            acc = acc + bar.shift_in(framed)
+        return (acc,)
+    if n == 5:
+        deg4 = phi_reference(4)[0]
+        return tuple(
+            bar.shift_in(bar.left_multiply(AlgebraElement.monomial(g), deg4))
+            for g in (X, Y)
+        )
+    raise ValueError("reference values exist for degrees 0..5 only")
+
+
+def _bar_basis_tensor(mids: Mids) -> BarChain:
+    return BarChain.of(len(mids), [(UNIT, mids, UNIT)])
+
+
+def psi_on_chain(chain: BarChain) -> MinResElement:
+    """Bimodule-linear extension of psi to bar chains with outer frames."""
+    acc = 0
+    for mids, frames in chain.terms.items():
+        value = compare.psi_bits(mids)
+        for _, left, rights in rows(frames):
+            acc ^= right_act(left_act(1 << left, value), rights)
+    return MinResElement(chain.degree, acc)
+
+
+#: value tables of the two degree-1 generators transported to the bar complex
+U1_TRANSPORT_TABLE: dict[int, AlgebraElement] = {
+    algebra.X: AlgebraElement.from_word("") + AlgebraElement.from_word("xy"),
+    algebra.Y: AlgebraElement.from_word("x"),
+    algebra.XY: AlgebraElement.from_word("y") + AlgebraElement.from_word("yxy"),
+    algebra.YX: AlgebraElement.from_word("y"),
+    algebra.XYX: AlgebraElement.from_word("xy") + AlgebraElement.from_word("yx"),
+    algebra.YXY: AlgebraElement.from_word("xyx"),
+    algebra.XYXY: AlgebraElement.from_word("yxy"),
+}
+
+U1P_TRANSPORT_TABLE: dict[int, AlgebraElement] = {
+    algebra.X: AlgebraElement.from_word("y"),
+    algebra.Y: AlgebraElement.from_word("") + AlgebraElement.from_word("yx"),
+    algebra.XY: AlgebraElement.from_word("x"),
+    algebra.YX: AlgebraElement.from_word("x") + AlgebraElement.from_word("xyx"),
+    algebra.XYX: AlgebraElement.from_word("yxy"),
+    algebra.YXY: AlgebraElement.from_word("xy") + AlgebraElement.from_word("yx"),
+    algebra.XYXY: AlgebraElement.from_word("xyx"),
+}
+
+
+def _pair(left: str, right: str) -> tuple[int, int, int]:
+    return (algebra.WORD_INDEX[left], 0, algebra.WORD_INDEX[right])
+
+
+#: value tables of psi_3 on the three-term cyclic sums from the degree-3
+#: transport computation; keys are words of the parameter monomial b
+PSI3_ROW_TABLES: list[tuple[tuple[str, str, str], dict[str, list[tuple[int, int, int]]]]] = [
+    (("b", "x", "x"), {
+        "x": [_pair("", "")], "y": [],
+        "xy": [_pair("", "y")], "yx": [_pair("y", "")],
+        "xyx": [_pair("xy", ""), _pair("x", "y"), _pair("yx", "xy"), _pair("", "yx")],
+        "yxy": [_pair("", "x"), _pair("x", "")],
+        "xyxy": [_pair("", "yxy")],
+    }),
+    (("b", "y", "x"), {
+        "x": [], "y": [], "yx": [], "xyx": [], "yxy": [], "xyxy": [],
+        "xy": [_pair("", "yx"), _pair("y", "x"), _pair("yx", ""), _pair("xy", "yx")],
+    }),
+    # the b=xyxy row as printed omits y(x)xy + yx(x)y, which its own
+    # reduction formula produces; the corrected value is used here
+    (("b", "yx", "y"), {
+        "x": [], "xy": [], "yx": [], "yxy": [],
+        "y": [_pair("", "x")],
+        "xyx": [_pair("yx", "")],
+        "xyxy": [_pair("xy", "yxy"), _pair("xyx", "x"), _pair("y", "xy"), _pair("yx", "y")],
+    }),
+    (("b", "y", "y"), {
+        "x": [], "y": [], "xyx": [],
+        "xy": [_pair("x", "")], "yx": [_pair("", "x")],
+        "yxy": [_pair("y", "x"), _pair("yx", ""), _pair("xy", "yx"), _pair("", "xy")],
+        "xyxy": [_pair("x", "yx"), _pair("xy", "x"), _pair("xyx", "")],
+    }),
+    # the b=xyxy row as printed omits x(x)y, again produced by its own
+    # reduction formula; corrected value
+    (("b", "x", "y"), {
+        "x": [], "y": [], "xy": [], "yxy": [],
+        "yx": [_pair("xy", ""), _pair("x", "y"), _pair("", "xy"), _pair("yx", "xy")],
+        "xyx": [_pair("", "x"), _pair("x", "")],
+        "xyxy": [_pair("y", "x"), _pair("x", "y")],
+    }),
+    (("b", "xy", "x"), {
+        "x": [_pair("", "y")], "y": [], "xy": [], "yx": [], "xyx": [],
+        "yxy": [_pair("x", "y")],
+        "xyxy": [_pair("yxy", "y"), _pair("yx", "xyx")],
+    }),
+]
+
+
+def _psi3_cyclic_sum(pattern: tuple[str, str, str], b_word: str) -> MinResElement:
+    """psi_3 of b(x)s(x)t + t(x)b(x)s + s(x)t(x)b for pattern (b, s, t)."""
+    _, s_w, t_w = pattern
+    b = algebra.WORD_INDEX[b_word]
+    s = algebra.WORD_INDEX[s_w]
+    t = algebra.WORD_INDEX[t_w]
+    return psi(3, (b, s, t)) + psi(3, (t, b, s)) + psi(3, (s, t, b))
+
+
+def suite_comparison() -> Report:
+    """Chain-map identities for phi and psi, psi o phi = Id, and the
+    low-degree reference tables.
+
+    psi is checked exhaustively in degrees 1..3 and on the tuples occurring
+    in phi images in degrees 4..6.
+    """
+    checks: list[Check] = []
+
+    fails = []
+    for n in range(1, 7):
+        for slot in generators(n):
+            lhs = bar_differential(phi(n)[slot])
+            rhs = phi_on_element(min_differential(MinResElement.generator(n, slot)))
+            if lhs + rhs:
+                fails.append(f"degree {n} slot {slot}")
+    checks.append(_failed("phi chain map, degrees 1..6", fails[:3]))
+
+    fails = []
+    for n in range(1, 4):
+        for mids in itertools.product(range(1, 8), repeat=n):
+            lhs = min_differential(psi(n, mids))
+            rhs = psi_on_chain(bar_differential(_bar_basis_tensor(mids)))
+            if lhs + rhs:
+                fails.append(f"degree {n} tuple {mids}")
+    checks.append(_failed("psi chain map, degrees 1..3 exhaustive", fails[:3]))
+
+    fails = []
+    for n in range(4, 7):
+        seen: set[Mids] = set()
+        for chain in phi(n):
+            seen.update(chain.terms)
+        for mids in sorted(seen):
+            lhs = min_differential(psi(n, mids))
+            rhs = psi_on_chain(bar_differential(_bar_basis_tensor(mids)))
+            if lhs + rhs:
+                fails.append(f"degree {n} tuple {mids}")
+    checks.append(_failed("psi chain map, degrees 4..6 on phi-image tuples", fails[:3]))
+
+    fails = []
+    for n in range(0, 5):
+        for slot in generators(n):
+            got = psi_on_chain(phi(n)[slot])
+            if got + MinResElement.generator(n, slot):
+                fails.append(f"degree {n} slot {slot}")
+    checks.append(_failed("psi o phi = Id, degrees 0..4", fails[:3]))
+
+    fails = []
+    for n in range(0, 6):
+        ref = phi_reference(n)
+        got = phi(n)
+        for slot in generators(n):
+            if got[slot] + ref[slot]:
+                fails.append(f"degree {n} slot {slot}")
+    checks.append(_failed("phi matches hand-tabulated values, degrees 0..5", fails[:3]))
+
+    cat = hhring.catalog()
+    for name, table in (("u1", U1_TRANSPORT_TABLE), ("u1p", U1P_TRANSPORT_TABLE)):
+        f = compare.transport_to_bar(cat[name].rep)
+        fails = [BASIS_NAMES[b] for b, expected in table.items() if f((b,)) + expected]
+        checks.append(_failed(f"degree-1 transport table for {name} (7 monomials)", fails))
+
+    fails = []
+    for pattern, table_rows in PSI3_ROW_TABLES:
+        for b_word, pairs in table_rows.items():
+            if _psi3_cyclic_sum(pattern, b_word) + MinResElement.of(3, pairs):
+                fails.append(f"{pattern} at b={b_word}")
+    checks.append(_failed("psi_3 cyclic-sum rows match the degree-3 tables", fails[:3]))
+
+    return Report("comparison", checks)
+
+
+# ---------------------------------------------------------------------------
+# Suite relations
+# ---------------------------------------------------------------------------
+
+#: each relation is a tuple of monomials summing to zero; "(p1')^2" in the
+#: published degree-0 list is read as (p2')^2
+RELATIONS: tuple[tuple[Monomial, ...], ...] = (
+    # degree 0: all pairwise products of the p generators vanish
+    (("p1", "p1"),), (("p2", "p2"),), (("p2p", "p2p"),),
+    (("p1", "p2"),), (("p1", "p2p"),), (("p2", "p2p"),),
+    (("p3", "p3"),), (("p1", "p3"),), (("p2", "p3"),), (("p2p", "p3"),),
+    # degree 1
+    (("p2", "u1"), ("p2p", "u1p")),
+    (("p2p", "u1"), ("p1", "u1p")),
+    (("p1", "u1"), ("p2", "u1p")),
+    # degree 2
+    (("p1", "v1"),), (("p2", "v2"),), (("p2p", "v2p"),),
+    (("p3", "v1"),), (("p3", "v2"),), (("p3", "v2p"),),
+    (("u1", "u1p"),),
+    (("p2", "v1"), ("p1", "v2p")),
+    (("p2", "v1"), ("p2p", "v2")),
+    (("p2", "v1"), ("p3", "u1", "u1")),
+    (("p2p", "v1"), ("p1", "v2")),
+    (("p2p", "v1"), ("p2", "v2p")),
+    (("p2p", "v1"), ("p3", "u1p", "u1p")),
+    # degree 3
+    (("u1p", "v2"), ("u1", "v2p")),
+    (("u1p", "v1"), ("u1", "v2")),
+    (("u1", "v1"), ("u1p", "v2p")),
+    (("u1", "u1", "u1"), ("u1p", "u1p", "u1p")),
+    # degree 4
+    (("v1", "v1"),), (("v2", "v2"),), (("v2p", "v2p"),),
+    (("v1", "v2"),), (("v1", "v2p"),), (("v2", "v2p"),),
+)
+
+
+def relation_name(rel: tuple[Monomial, ...]) -> str:
+    return " + ".join(monomial_name(m) for m in rel)
+
+
+def presentation_monomial_count(n: int) -> int:
+    """Dimension of degree n of the presented commutative quotient ring.
+
+    Computed as candidates modulo the span of all relation multiples by
+    candidate monomials, with out-of-cap products mapped to zero (each is a
+    multiple of a monomial relation, hence already in the ideal).
+    """
+    cands = hhring._candidate_monomials(n)
+    index = {m: i for i, m in enumerate(cands)}
+
+    def reduce_product(m1: Monomial, m2: Monomial):
+        merged = tuple(sorted(m1 + m2, key=hhring.GENERATOR_ORDER.index))
+        counts = {g: merged.count(g) for g in set(merged)}
+        if sum(counts.get(p, 0) for p in ("p1", "p2", "p2p", "p3")) > 1:
+            return None
+        if counts.get("u1", 0) and counts.get("u1p", 0):
+            return None
+        if counts.get("u1", 0) > 3 or counts.get("u1p", 0) > 3:
+            return None
+        if sum(counts.get(v, 0) for v in ("v1", "v2", "v2p")) > 1:
+            return None
+        return index[merged]
+
+    pivots: gf2.Pivots = {}
+    for rel in RELATIONS:
+        d = hhring.monomial_degree(rel[0])
+        if d > n:
+            continue
+        for m in hhring._candidate_monomials(n - d):
+            bits = 0
+            for term in rel:
+                i = reduce_product(term, m)
+                if i is not None:
+                    bits ^= 1 << i
+            gf2.insert(pivots, bits)
+    return len(cands) - len(pivots)
+
+
+#: published cup products as (name, factors, representative cochain)
+CUP_WITNESSES: tuple[tuple[str, Monomial, MinCochain], ...] = (
+    ("u1*u1 = (1, y)", ("u1", "u1"), MinCochain.of(2, (ONE, AlgebraElement.monomial(Y)))),
+    ("u1p*u1p = (x, 1)", ("u1p", "u1p"), MinCochain.of(2, (AlgebraElement.monomial(X), ONE))),
+    ("u1p*v2p = y", ("u1p", "v2p"), MinCochain.of(3, (AlgebraElement.monomial(Y),))),
+    ("u1*v2 = x", ("u1", "v2"), MinCochain.of(3, (AlgebraElement.monomial(X),))),
+    ("u1p*v2 = xy", ("u1p", "v2"), MinCochain.of(3, (AlgebraElement.monomial(XY),))),
+)
+
+
+def suite_relations() -> Report:
+    """Every listed relation as an iterated cup product, the cup witnesses and
+    the dimension counts."""
+    checks = []
+    for rel in RELATIONS:
+        total = hhring.class_of_monomial(rel[0])
+        for m in rel[1:]:
+            total = total + hhring.class_of_monomial(m)
+        degree = hhring.monomial_degree(rel[0])
+        checks.append(Check(f"relation {relation_name(rel)} = 0 (degree {degree})", total.is_zero()))
+
+    for name, mono, expected in CUP_WITNESSES:
+        got = hhring.class_of_monomial(mono)
+        checks.append(Check(f"cup witness {name}", hhring.class_eq(got, CohomologyClass(expected))))
+
+    checks.append(Check("hh_dim(0) = 5 (center dimension)", hhring.hh_dim(0) == 5))
+    periodic = all(hhring.hh_dim(n + 4) == hhring.hh_dim(n) for n in (1, 2, 3))
+    checks.append(Check("hh_dim(n+4) = hh_dim(n) for n = 1..3", periodic))
+    counts = all(presentation_monomial_count(n) == hhring.hh_dim(n) for n in range(5))
+    checks.append(Check("presentation monomial counts match hh_dim, degrees 0..4", counts))
+
+    return Report("relations", checks)
+
+
+# ---------------------------------------------------------------------------
+# Suite bv
+# ---------------------------------------------------------------------------
+
+#: the bracket table: zero on all generator pairs except these.  It is the
+#: Delta table: Delta vanishes on all ten generators (the Delta table checks
+#: that), so the BV identity [a, b] = Delta(a*b) + Delta(a)*b + a*Delta(b)
+#: leaves [a, b] = Delta(a*b).
+EXPECTED_BRACKET_NONZERO: dict[tuple[str, str], str] = hhring.EXPECTED_DELTA_NONZERO
+
+
+def _table_checks(delta: list[tuple[tuple[str, ...], CohomologyClass]]) -> list[Check]:
+    """Every Delta and bracket table entry against its published value, and
+    every bracket entry against the BV identity
+    [a, b] = Delta(a u b) + Delta(a) u b + a u Delta(b)."""
+    checks = []
+    for args, value in delta:
+        expected = hhring.EXPECTED_DELTA_NONZERO.get(args, "0")
+        ok = hhring.class_eq(value, hhring.class_of_expression(expected, value.degree))
+        checks.append(Check(f"Delta({monomial_name(args)}) = {expected}", ok))
+
+    cat = hhring.catalog()
+    for (a, b), br in hhring.bracket_table():
+        expected = EXPECTED_BRACKET_NONZERO.get((a, b), "0")
+        ok = hhring.class_eq(br, hhring.class_of_expression(expected, br.degree))
+        checks.append(Check(f"[{a}, {b}] = {expected}", ok))
+        # terms with a degree-0 Delta argument vanish
+        rhs = hhring.delta_or_zero(hhring.cup_classes(cat[a], cat[b]))
+        if cat[a].degree >= 1:
+            rhs = rhs + hhring.cup_classes(hhring.delta_class(cat[a]), cat[b])
+        if cat[b].degree >= 1:
+            rhs = rhs + hhring.cup_classes(cat[a], hhring.delta_class(cat[b]))
+        checks.append(Check(f"BV identity for ({a}, {b})", hhring.class_eq(br, rhs)))
+    return checks
+
+
+def seven_term_identity(a: str, b: str, c: str) -> bool:
+    """Delta(abc) = Delta(ab)c + Delta(ac)b + Delta(bc)a + Delta(a)bc + ...
+
+    All signs are trivial over GF(2); terms with a degree-0 Delta argument
+    vanish and are skipped.
+    """
+    cup = hhring.cup_classes
+    cat = hhring.catalog()
+    ca, cb, cc = cat[a], cat[b], cat[c]
+    lhs = hhring.delta_or_zero(cup(cup(ca, cb), cc))
+    rhs = CohomologyClass.zero(lhs.degree)
+    for left, right in (
+        (cup(ca, cb), cc),
+        (cup(ca, cc), cb),
+        (cup(cb, cc), ca),
+        (ca, cup(cb, cc)),
+        (cb, cup(ca, cc)),
+        (cc, cup(ca, cb)),
+    ):
+        if left.degree >= 1:
+            rhs = rhs + cup(hhring.delta_class(left), right)
+    return hhring.class_eq(lhs, rhs)
+
+
+def _chain_basis(degree: int):
+    for head in range(8):
+        for mids in itertools.product(range(1, 8), repeat=degree):
+            yield bar.HochschildChain.of(degree, [(head, mids)])
+
+
+def suite_bv() -> Report:
+    delta = hhring.delta_table()
+    checks = _table_checks(delta)
+
+    fails = []
+    for args, value in delta:
+        if value.degree >= 1 and not hhring.delta_class(value).is_zero():
+            fails.append(monomial_name(args))
+    checks.append(_failed("Delta o Delta = 0 on generators and computed products", fails[:3]))
+
+    for triple in (("p2", "u1", "z"), ("u1", "u1p", "v1"), ("p1", "v2", "z")):
+        checks.append(Check(f"seven-term identity on {triple}", seven_term_identity(*triple)))
+
+    cat = hhring.catalog()
+    fails = []
+    for name in hhring.GENERATOR_ORDER:
+        lhs = hhring.delta_or_zero(hhring.cup_classes(cat[name], cat["z"]))
+        if cat[name].degree >= 1:
+            rhs = hhring.cup_classes(hhring.delta_class(cat[name]), cat["z"])
+        else:
+            rhs = CohomologyClass.zero(lhs.degree)
+        if not hhring.class_eq(lhs, rhs):
+            fails.append(name)
+    checks.append(_failed("z-periodicity of Delta on all generators", fails))
+
+    fails = []
+    for r in range(0, 4):
+        if any(bar.connes_b(bar.connes_b(c)) for c in _chain_basis(r)):
+            fails.append(f"degree {r}")
+    checks.append(_failed("Connes operator squares to zero, chain degrees 0..3", fails))
+
+    fails = []
+    for r in range(0, 4):
+        for c in _chain_basis(r):
+            lhs = bar.chain_differential(bar.connes_b(c))
+            if r >= 1:
+                lhs = lhs + bar.connes_b(bar.chain_differential(c))
+            if lhs:
+                fails.append(f"degree {r}")
+                break
+    checks.append(_failed("boundary anticommutes with Connes operator, degrees 0..3", fails))
+
+    duals = [
+        ("u1", cat["u1"].rep), ("u1p", cat["u1p"].rep),
+        ("v1", cat["v1"].rep), ("v2", cat["v2"].rep), ("v2p", cat["v2p"].rep),
+        ("u1*v2", hhring.class_of_monomial(("u1", "v2")).rep),
+        ("u1^3", hhring.class_of_monomial(("u1", "u1", "u1")).rep),
+    ]
+    fails = []
+    for name, rep in duals:
+        f = compare.transport_to_bar(rep)
+        df = bar.bv_delta(f)
+        for c in _chain_basis(rep.degree - 1):
+            ((mids, heads),) = c.terms.items()
+            lhs = algebra.bilinear_form(df(mids), AlgebraElement(heads))
+            rhs = 0
+            for bmids in bar.connes_b(c).terms:
+                rhs ^= algebra.socle_pairing_with_one(f(bmids))
+            if lhs != rhs:
+                fails.append(name)
+                break
+    checks.append(_failed("Delta is dual to the Connes operator for transported cocycles", fails))
+
+    return Report("bv", checks)
+
+
+# ---------------------------------------------------------------------------
+# Running suites
+# ---------------------------------------------------------------------------
+
+#: the suites in the order `verify all` runs them
+SUITES: dict[str, Callable[[], Report]] = {
+    "algebra": suite_algebra,
+    "homotopy": suite_homotopy,
+    "comparison": suite_comparison,
+    "relations": suite_relations,
+    "bv": suite_bv,
+}
+
+
+def run_suite(name: str) -> Report:
+    """The report of one suite, or of every suite in order for "all"."""
+    if name == "all":
+        report = Report("all")
+        for suite in SUITES.values():
+            report.extend(suite())
+        return report
+    return SUITES[name]()

@@ -3,8 +3,8 @@
 phi : P_* -> Bar_*  is built from the radical-split differential formulas and
 the bar-side contracting homotopy (prepend a fresh unit); psi : Bar_* -> P_*
 is built from the weak self-homotopy t_*.  Both satisfy the chain-map
-identities by construction; verify_chain_maps re-checks them on explicit
-arguments to guard the stored tables.
+identities by construction; the comparison suite of q8bv.checks re-checks
+them on explicit arguments to guard the stored tables.
 
 psi is memoized per interior tuple as a packed P_n value (an int in the
 packed bimodule layout of algebra).  A miss extends the longest memoized
@@ -27,21 +27,11 @@ the 4-periodic resolution needs to go, and it keeps the memo small.
 """
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
-from .algebra import MONO_MUL, UNIT, XYXY, AlgebraElement, dual_basis, mask_mul
+from .algebra import MONO_MUL, UNIT, XYXY, dual_basis, mask_mul
 from .algebra import evaluate_bits, left_act, right_act, rows
-from .bar import (
-    BarChain,
-    BarCochain,
-    Mids,
-    bar_differential,
-    evaluate_on_chain,
-    left_multiply,
-    right_multiply,
-    shift_in,
-)
+from .bar import BarChain, BarCochain, Mids, evaluate_on_chain, shift_in
 from .minres import (
     GENERATOR_COUNTS,
     MinCochain,
@@ -49,9 +39,7 @@ from .minres import (
     differential_formulas,
     generators,
     homotopy_step_table,
-    min_differential,
 )
-from .report import Check, Report
 
 MAX_DEGREE = 8
 
@@ -134,16 +122,6 @@ def _step(bits: int, r: int, m: int) -> int:
         acc ^= table[low.bit_length() - 1]
         bits ^= low
     return acc
-
-
-def psi_on_chain(chain: BarChain) -> MinResElement:
-    """Bimodule-linear extension of psi to bar chains with outer frames."""
-    acc = 0
-    for mids, frames in chain.terms.items():
-        value = psi_bits(mids)
-        for _, left, rights in rows(frames):
-            acc ^= right_act(left_act(1 << left, value), rights)
-    return MinResElement(chain.degree, acc)
 
 
 def clear_psi_memo() -> None:
@@ -248,132 +226,3 @@ def _build_delta_matrix(n: int) -> tuple[int, ...]:
                 matrix[low.bit_length() - 1] ^= image
                 w ^= low
     return tuple(matrix)
-
-
-# ---------------------------------------------------------------------------
-# Hand-tabulated low-degree values, used as a regression oracle
-# ---------------------------------------------------------------------------
-
-
-def phi_reference(n: int) -> tuple[BarChain, ...]:
-    """Independent expansion of the first six comparison-map values.
-
-    Degrees 0..3 are written out term by term; degree 4 applies the
-    sum-over-dual-pairs formula to the degree-3 value and degree 5 prepends a
-    generator, each using only bar-side primitives (no recursion through the
-    stored differentials).
-    """
-    from .algebra import X, Y, XY, YX, dual_basis
-
-    def chain(*tensors: tuple[int, tuple[int, ...], int]) -> BarChain:
-        return BarChain.of(len(tensors[0][1]) if tensors else 0, tensors)
-
-    if n == 0:
-        return (chain((UNIT, (), UNIT)),)
-    if n == 1:
-        return (chain((UNIT, (X,), UNIT)), (chain((UNIT, (Y,), UNIT))))
-    if n == 2:
-        return (
-            chain((UNIT, (X, X), UNIT), (UNIT, (Y, X), Y), (UNIT, (YX, Y), UNIT)),
-            chain((UNIT, (Y, Y), UNIT), (UNIT, (X, Y), X), (UNIT, (XY, X), UNIT)),
-        )
-    if n == 3:
-        return (
-            chain(
-                (UNIT, (X, X, X), UNIT),
-                (UNIT, (X, Y, X), Y),
-                (UNIT, (X, YX, Y), UNIT),
-                (UNIT, (Y, Y, Y), UNIT),
-                (UNIT, (Y, X, Y), X),
-                (UNIT, (Y, XY, X), UNIT),
-            ),
-        )
-    if n == 4:
-        deg3 = phi_reference(3)[0]
-        acc = BarChain.zero(4)
-        for b in range(1, 8):
-            framed = right_multiply(
-                left_multiply(AlgebraElement.monomial(b), deg3),
-                AlgebraElement.monomial(dual_basis(b)),
-            )
-            acc = acc + shift_in(framed)
-        return (acc,)
-    if n == 5:
-        deg4 = phi_reference(4)[0]
-        return tuple(
-            shift_in(left_multiply(AlgebraElement.monomial(g), deg4))
-            for g in (X, Y)
-        )
-    raise ValueError("reference values exist for degrees 0..5 only")
-
-
-# ---------------------------------------------------------------------------
-# Verification
-# ---------------------------------------------------------------------------
-
-
-def _bar_basis_tensor(mids: Mids) -> BarChain:
-    return BarChain.of(len(mids), [(UNIT, mids, UNIT)])
-
-
-def verify_chain_maps(max_degree: int = 6) -> Report:
-    """Chain-map identities for phi and psi, psi o phi = Id, and the
-    low-degree reference tables.
-
-    psi is checked exhaustively in degrees 1..3 and on the tuples occurring
-    in phi images in degrees 4..max_degree.
-    """
-    if max_degree > 6:
-        raise ValueError("resource guard: max_degree <= 6")
-    checks: list[Check] = []
-
-    fails = []
-    for n in range(1, max_degree + 1):
-        for slot in generators(n):
-            lhs = bar_differential(phi(n)[slot])
-            rhs = phi_on_element(min_differential(MinResElement.generator(n, slot)))
-            if lhs + rhs:
-                fails.append(f"degree {n} slot {slot}")
-    checks.append(Check(f"phi chain map, degrees 1..{max_degree}", not fails, "; ".join(fails[:3])))
-
-    fails = []
-    for n in range(1, min(3, max_degree) + 1):
-        for mids in itertools.product(range(1, 8), repeat=n):
-            lhs = min_differential(psi(n, mids))
-            rhs = psi_on_chain(bar_differential(_bar_basis_tensor(mids)))
-            if lhs + rhs:
-                fails.append(f"degree {n} tuple {mids}")
-    checks.append(Check("psi chain map, degrees 1..3 exhaustive", not fails, "; ".join(fails[:3])))
-
-    fails = []
-    for n in range(4, max_degree + 1):
-        seen: set[Mids] = set()
-        for chain in phi(n):
-            seen.update(chain.terms)
-        for mids in sorted(seen):
-            lhs = min_differential(psi(n, mids))
-            rhs = psi_on_chain(bar_differential(_bar_basis_tensor(mids)))
-            if lhs + rhs:
-                fails.append(f"degree {n} tuple {mids}")
-    checks.append(
-        Check(f"psi chain map, degrees 4..{max_degree} on phi-image tuples", not fails, "; ".join(fails[:3]))
-    )
-
-    fails = []
-    for n in range(0, 5):
-        for slot in generators(n):
-            got = psi_on_chain(phi(n)[slot])
-            if got + MinResElement.generator(n, slot):
-                fails.append(f"degree {n} slot {slot}")
-    checks.append(Check("psi o phi = Id, degrees 0..4", not fails, "; ".join(fails[:3])))
-
-    fails = []
-    for n in range(0, 6):
-        ref = phi_reference(n)
-        got = phi(n)
-        for slot in generators(n):
-            if got[slot] + ref[slot]:
-                fails.append(f"degree {n} slot {slot}")
-    checks.append(Check("phi matches hand-tabulated values, degrees 0..5", not fails, "; ".join(fails[:3])))
-
-    return Report("comparison", checks)

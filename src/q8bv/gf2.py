@@ -58,17 +58,3 @@ def rank(rows: Iterable[int]) -> int:
     """Dimension of the span of rows."""
     return len(echelon(rows))
 
-
-def kernel(rows: Iterable[int]) -> list[int]:
-    """Basis of the vectors v whose set bits select rows that XOR to zero.
-
-    Row i is the image of basis vector i, so this is the kernel of that map;
-    there is one basis vector per row that depends on the rows before it.
-    """
-    pivots: Pivots = {}
-    out = []
-    for i, w in enumerate(rows):
-        remainder, tag = insert(pivots, w, 1 << i)
-        if not remainder:
-            out.append(tag)
-    return out

@@ -11,13 +11,14 @@ the result back through phi; the degree -1 operator applies
 compare.delta_matrix, the same composite as one matrix per degree.  Classes
 render as sums of generator monomials by one gf2.reduce against cached
 pivots, whose tags record the chosen monomials each row combines.  The
-reference tables this module verifies against are the published generator
-catalog, relation list, and structure tables for this algebra.
+published generator catalog and the nonzero Delta entries, whose keys are
+rows of the Delta table, are the only published data here; the relation list
+and the values the suites check against are in q8bv.checks.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import gf2
@@ -32,7 +33,6 @@ from .compare import (
     transport_to_min,
 )
 from .minres import GENERATOR_COUNTS, MinCochain, min_cochain_differential
-from .report import Check, Report
 
 
 def _width(n: int) -> int:
@@ -73,17 +73,6 @@ def coboundaries(n: int) -> gf2.Pivots:
     """Echelon pivots of the degree-n coboundaries; callers must not mutate them."""
     _check_degree(n)
     return gf2.echelon(_delta_image_vectors(n - 1)) if n else {}
-
-
-def coboundary_space(n: int) -> list[MinCochain]:
-    """Deterministic basis of the coboundaries in degree n."""
-    return [MinCochain(n, row) for row, _ in coboundaries(n).values()]
-
-
-def cocycle_space(n: int) -> list[MinCochain]:
-    """Deterministic basis of the cocycles in degree n."""
-    _check_degree(n)
-    return [MinCochain(n, v) for v in gf2.kernel(_delta_image_vectors(n))]
 
 
 def hh_dim(n: int) -> int:
@@ -251,65 +240,7 @@ def class_of_expression(expr: str, degree: int) -> CohomologyClass:
 
 
 # ---------------------------------------------------------------------------
-# Relation list of the published presentation
-# ---------------------------------------------------------------------------
-
-#: each relation is a tuple of monomials summing to zero; "(p1')^2" in the
-#: published degree-0 list is read as (p2')^2
-RELATIONS: tuple[tuple[Monomial, ...], ...] = (
-    # degree 0: all pairwise products of the p generators vanish
-    (("p1", "p1"),), (("p2", "p2"),), (("p2p", "p2p"),),
-    (("p1", "p2"),), (("p1", "p2p"),), (("p2", "p2p"),),
-    (("p3", "p3"),), (("p1", "p3"),), (("p2", "p3"),), (("p2p", "p3"),),
-    # degree 1
-    (("p2", "u1"), ("p2p", "u1p")),
-    (("p2p", "u1"), ("p1", "u1p")),
-    (("p1", "u1"), ("p2", "u1p")),
-    # degree 2
-    (("p1", "v1"),), (("p2", "v2"),), (("p2p", "v2p"),),
-    (("p3", "v1"),), (("p3", "v2"),), (("p3", "v2p"),),
-    (("u1", "u1p"),),
-    (("p2", "v1"), ("p1", "v2p")),
-    (("p2", "v1"), ("p2p", "v2")),
-    (("p2", "v1"), ("p3", "u1", "u1")),
-    (("p2p", "v1"), ("p1", "v2")),
-    (("p2p", "v1"), ("p2", "v2p")),
-    (("p2p", "v1"), ("p3", "u1p", "u1p")),
-    # degree 3
-    (("u1p", "v2"), ("u1", "v2p")),
-    (("u1p", "v1"), ("u1", "v2")),
-    (("u1", "v1"), ("u1p", "v2p")),
-    (("u1", "u1", "u1"), ("u1p", "u1p", "u1p")),
-    # degree 4
-    (("v1", "v1"),), (("v2", "v2"),), (("v2p", "v2p"),),
-    (("v1", "v2"),), (("v1", "v2p"),), (("v2", "v2p"),),
-)
-
-
-def relation_name(rel: tuple[Monomial, ...]) -> str:
-    return " + ".join(monomial_name(m) for m in rel)
-
-
-def verify_presentation(n_max: int = 4) -> Report:
-    """Evaluate every listed relation as an iterated cup product."""
-    if n_max > 4:
-        raise ValueError("relations exist in degrees 0..4")
-    checks = []
-    for rel in RELATIONS:
-        deg = monomial_degree(rel[0])
-        if deg > n_max:
-            continue
-        total = class_of_monomial(rel[0])
-        for m in rel[1:]:
-            total = total + class_of_monomial(m)
-        checks.append(
-            Check(f"relation {relation_name(rel)} = 0 (degree {deg})", total.is_zero())
-        )
-    return Report("relations", checks)
-
-
-# ---------------------------------------------------------------------------
-# Presentation-side dimension oracle
+# Candidate monomials of the presentation
 # ---------------------------------------------------------------------------
 
 
@@ -317,8 +248,8 @@ def _candidate_monomials(n: int) -> list[Monomial]:
     """Degree-n monomials not divisible by a monomial relation.
 
     Larger exponents are provably zero in the quotient: two p factors, two v
-    factors, u1*u1p, and u1^4 (or u1p^4) are each multiples of listed
-    relations, so restricting to these caps loses nothing.
+    factors, u1*u1p, and u1^4 (or u1p^4) are each multiples of relations
+    listed in checks.RELATIONS, so restricting to these caps loses nothing.
     """
     out = []
     p_parts = [()] + [(p,) for p in ("p1", "p2", "p2p", "p3")]
@@ -332,44 +263,6 @@ def _candidate_monomials(n: int) -> list[Monomial]:
                 if rest >= 0 and rest % 4 == 0:
                     out.append(base + ("z",) * (rest // 4))
     return sorted(out)
-
-
-def presentation_monomial_count(n: int) -> int:
-    """Dimension of degree n of the presented commutative quotient ring.
-
-    Computed as candidates modulo the span of all relation multiples by
-    candidate monomials, with out-of-cap products mapped to zero (each is a
-    multiple of a monomial relation, hence already in the ideal).
-    """
-    cands = _candidate_monomials(n)
-    index = {m: i for i, m in enumerate(cands)}
-
-    def reduce_product(m1: Monomial, m2: Monomial):
-        merged = tuple(sorted(m1 + m2, key=GENERATOR_ORDER.index))
-        counts = {g: merged.count(g) for g in set(merged)}
-        if sum(counts.get(p, 0) for p in ("p1", "p2", "p2p", "p3")) > 1:
-            return None
-        if counts.get("u1", 0) and counts.get("u1p", 0):
-            return None
-        if counts.get("u1", 0) > 3 or counts.get("u1p", 0) > 3:
-            return None
-        if sum(counts.get(v, 0) for v in ("v1", "v2", "v2p")) > 1:
-            return None
-        return index[merged]
-
-    pivots: gf2.Pivots = {}
-    for rel in RELATIONS:
-        d = monomial_degree(rel[0])
-        if d > n:
-            continue
-        for m in _candidate_monomials(n - d):
-            bits = 0
-            for term in rel:
-                i = reduce_product(term, m)
-                if i is not None:
-                    bits ^= 1 << i
-            gf2.insert(pivots, bits)
-    return len(cands) - len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +279,6 @@ EXPECTED_DELTA_NONZERO: dict[tuple[str, str], str] = {
     ("u1p", "v1"): "u1^2+v2p", ("u1", "v2"): "u1^2+v2p",
     ("u1p", "v2"): "v1", ("u1", "v2p"): "v1",
 }
-
-#: the bracket table: zero on all generator pairs except these.  It is the
-#: Delta table: Delta vanishes on all ten generators (the Delta table checks
-#: that), so the BV identity [a, b] = Delta(a*b) + Delta(a)*b + a*Delta(b)
-#: leaves [a, b] = Delta(a*b).
-EXPECTED_BRACKET_NONZERO: dict[tuple[str, str], str] = EXPECTED_DELTA_NONZERO
 
 
 def generator_pairs() -> list[tuple[str, str]]:
@@ -427,15 +314,6 @@ def monomial_name(m: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass
-class StructureTables:
-    """Computed delta and bracket tables plus their consistency checks."""
-
-    delta: list[tuple[tuple[str, ...], CohomologyClass]]
-    bracket: list[tuple[tuple[str, str], CohomologyClass]]
-    checks: list[Check] = field(default_factory=list)
-
-
 def delta_table() -> list[tuple[tuple[str, ...], CohomologyClass]]:
     """The degree -1 operator on each of delta_table_inputs(), in order."""
     return [(args, delta_or_zero(class_of_monomial(args))) for args in delta_table_inputs()]
@@ -445,64 +323,6 @@ def bracket_table() -> list[tuple[tuple[str, str], CohomologyClass]]:
     """The bracket on each of the 45 generator pairs, in catalog order."""
     cat = catalog()
     return [((a, b), bracket_classes(cat[a], cat[b])) for a, b in generator_pairs()]
-
-
-def build_structure_tables() -> StructureTables:
-    """Compute the full delta and bracket tables and cross-check them.
-
-    Every bracket entry is checked against the BV identity
-    [a, b] = Delta(a u b) + Delta(a) u b + a u Delta(b), and every table
-    entry against its published value.
-    """
-    cat = catalog()
-    tables = StructureTables(delta_table(), bracket_table())
-
-    for args, value in tables.delta:
-        expected = EXPECTED_DELTA_NONZERO.get(args, "0")
-        ok = class_eq(value, class_of_expression(expected, value.degree))
-        tables.checks.append(Check(f"Delta({monomial_name(args)}) = {expected}", ok))
-
-    for (a, b), br in tables.bracket:
-        expected = EXPECTED_BRACKET_NONZERO.get((a, b), "0")
-        tables.checks.append(
-            Check(f"[{a}, {b}] = {expected}", class_eq(br, class_of_expression(expected, br.degree)))
-        )
-        # BV identity cross-check; terms with a degree-0 Delta argument vanish
-        prod = cup_classes(cat[a], cat[b])
-        rhs = delta_or_zero(prod)
-        if cat[a].degree >= 1:
-            rhs = rhs + cup_classes(delta_class(cat[a]), cat[b])
-        if cat[b].degree >= 1:
-            rhs = rhs + cup_classes(cat[a], delta_class(cat[b]))
-        tables.checks.append(
-            Check(f"BV identity for ({a}, {b})", class_eq(br, rhs))
-        )
-
-    return tables
-
-
-def seven_term_identity(a: str, b: str, c: str) -> bool:
-    """Delta(abc) = Delta(ab)c + Delta(ac)b + Delta(bc)a + Delta(a)bc + ...
-
-    All signs are trivial over GF(2); terms with a degree-0 Delta argument
-    vanish and are skipped.
-    """
-    cat = catalog()
-    ca, cb, cc = cat[a], cat[b], cat[c]
-    abc = cup_classes(cup_classes(ca, cb), cc)
-    lhs = delta_or_zero(abc)
-    rhs = CohomologyClass.zero(lhs.degree)
-    for left, right in (
-        (cup_classes(ca, cb), cc),
-        (cup_classes(ca, cc), cb),
-        (cup_classes(cb, cc), ca),
-        (ca, cup_classes(cb, cc)),
-        (cb, cup_classes(ca, cc)),
-        (cc, cup_classes(ca, cb)),
-    ):
-        if left.degree >= 1:
-            rhs = rhs + cup_classes(delta_class(left), right)
-    return class_eq(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ algebra, which the bar chains also use for their outer frames.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import (
     UNIT,
@@ -27,29 +27,23 @@ from .algebra import (
     XYXY,
     AlgebraElement,
     MONO_MUL,
-    BASIS_NAMES,
     bimodule_derivation,
     dual_basis,
     evaluate_bits,
-    left_act,
     mask_mul,
     place,
-    right_act,
     rows,
 )
-from .report import Check, Report
 
 Term = tuple[int, int, int]  # (left monomial, generator slot, right monomial)
 
 #: number of free bimodule generators of P_n, by degree mod 4
 GENERATOR_COUNTS: tuple[int, ...] = (1, 2, 2, 1)
 
-SLOT_NAMES: tuple[tuple[str, ...], ...] = (("e",), ("x", "y"), ("rx", "ry"), ("e",))
-
 
 def generators(degree: int) -> range:
     if degree < 0:
-        raise ValueError("degree must be nonnegative")
+        raise ValueError(f"degree must be >= 0, got {degree}")
     return range(GENERATOR_COUNTS[degree % 4])
 
 
@@ -67,7 +61,7 @@ class MinResElement:
     @classmethod
     def of(cls, degree: int, terms: Iterable[Term]) -> "MinResElement":
         acc = 0
-        nslots = GENERATOR_COUNTS[degree % 4]
+        nslots = len(generators(degree))
         for left, slot, right in terms:
             if not 0 <= slot < nslots:
                 raise ValueError(f"slot {slot} invalid at degree {degree}")
@@ -87,20 +81,6 @@ class MinResElement:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def terms(self) -> Iterator[Term]:
-        """The basis triples (left, slot, right) of the sum, in a fixed order."""
-        for slot, left, rights in rows(self.bits):
-            for right in AlgebraElement(rights).monomials():
-                yield left, slot, right
-
-
-def left_multiply(a: AlgebraElement, e: MinResElement) -> MinResElement:
-    return MinResElement(e.degree, left_act(a.bits, e.bits))
-
-
-def right_multiply(e: MinResElement, a: AlgebraElement) -> MinResElement:
-    return MinResElement(e.degree, right_act(e.bits, a.bits))
 
 
 @dataclass(frozen=True)
@@ -294,68 +274,6 @@ def homotopy_step_table(degree: int, m: int) -> tuple[int, ...]:
         for left in range(8)
         for right in range(8)
     )
-
-
-def _basis_arguments(degree: int):
-    for slot in generators(degree):
-        for b in range(8):
-            yield MinResElement.of(degree, [(b, slot, UNIT)]), b, slot
-
-
-def _arg_name(degree: int, b: int, slot: int) -> str:
-    return f"{BASIS_NAMES[b]}(x){SLOT_NAMES[degree % 4][slot]}(x)1"
-
-
-def verify_homotopy() -> Report:
-    """Check every weak self-homotopy identity on all generator-by-basis arguments."""
-    checks: list[Check] = []
-
-    def run(name: str, failures: list[str]) -> None:
-        checks.append(Check(name, not failures, "; ".join(failures[:3])))
-
-    fails = []
-    for b in range(8):
-        if augmentation(homotopy_t(-1, AlgebraElement.monomial(b))) + AlgebraElement.monomial(b):
-            fails.append(BASIS_NAMES[b])
-    run("d0 t(-1) = Id", fails)
-
-    for p in range(3):
-        fails = []
-        for e, b, slot in _basis_arguments(p):
-            lhs = min_differential(homotopy_t(p, e))
-            if p == 0:
-                lhs = lhs + homotopy_t(-1, augmentation(e))
-            else:
-                lhs = lhs + homotopy_t(p - 1, min_differential(e))
-            if lhs + e:
-                fails.append(_arg_name(p, b, slot))
-        run(f"d{p + 1} t{p} + t{p - 1} d{p} = Id", fails)
-
-    fails = []
-    for e, b, slot in _basis_arguments(3):
-        lhs = homotopy_t(2, min_differential(e)) + rho(tau(e))
-        if lhs + e:
-            fails.append(_arg_name(3, b, slot))
-    run("t2 d3 + rho tau = Id", fails)
-
-    fails = []
-    for b in range(8):
-        got = tau(rho(AlgebraElement.monomial(b)))
-        if got + AlgebraElement.monomial(b):
-            fails.append(BASIS_NAMES[b])
-    run("tau rho = Id", fails)
-
-    fails = []
-    for b in range(8):
-        if homotopy_t(0, homotopy_t(-1, AlgebraElement.monomial(b))):
-            fails.append(f"t0 t(-1) on {BASIS_NAMES[b]}")
-    for p in range(4):
-        for e, b, slot in _basis_arguments(p):
-            if homotopy_t(p + 1, homotopy_t(p, e)):
-                fails.append(f"t{p + 1} t{p} on {_arg_name(p, b, slot)}")
-    run("t(i+1) t(i) = 0", fails)
-
-    return Report("homotopy", checks)
 
 
 # ---------------------------------------------------------------------------

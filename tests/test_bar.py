@@ -14,10 +14,8 @@ from q8bv.bar import (
     HochschildChain,
     bar_differential,
     chain_differential,
-    circle_i,
     cochain_differential,
     connes_b,
-    constant_cochain,
     cup,
     bv_delta,
 )
@@ -28,6 +26,11 @@ NON_UNIT = list(range(1, 8))
 
 def tensor(left, mids, right):
     return BarChain.of(len(mids), [(left, tuple(mids), right)])
+
+
+def constant_cochain(a: AlgebraElement) -> BarCochain:
+    bits = a.bits
+    return BarCochain(0, lambda args: bits)
 
 
 def identity_cochain() -> BarCochain:
@@ -76,6 +79,17 @@ def test_bar_chain_of_rejects_interior_entries_outside_the_non_unit_monomials():
     for mids, entry in (((UNIT,), "0"), ((X, 8), "8"), ((-1, Y), "-1")):
         with pytest.raises(ValueError, match=f"interior entry {entry} "):
             BarChain.of(len(mids), [(UNIT, mids, UNIT)])
+
+
+def test_bar_chain_of_rejects_negative_degrees():
+    for degree in (-1, -2):
+        with pytest.raises(ValueError, match=f"got {degree}$"):
+            BarChain.of(degree, [])
+
+
+def test_hochschild_chain_of_rejects_negative_degrees():
+    with pytest.raises(ValueError, match="got -1$"):
+        HochschildChain.of(-1, [])
 
 
 def test_hochschild_chain_of_rejects_heads_outside_the_monomials():
@@ -166,17 +180,17 @@ def test_cup_associative_low_degrees():
 
 
 def test_circle_insertion_of_unit_vanishes():
-    f = multiplication_cochain()
-    for i in (1, 2):
-        c = circle_i(f, constant_cochain(AlgebraElement.one()), i)
-        for args in itertools.product(NON_UNIT, repeat=1):
+    # the unit enters an interior slot, so every insertion drops it
+    for f in (identity_cochain(), multiplication_cochain()):
+        c = bar.circle(f, constant_cochain(AlgebraElement.one()))
+        for args in itertools.product(NON_UNIT, repeat=c.degree):
             assert not c(args)
 
 
 def test_circle_composition_degree_one():
     f = identity_cochain()
     g = BarCochain(1, lambda args: (MONO[args[0]] * MONO[X]).bits)
-    got = circle_i(f, g, 1)
+    got = bar.circle(f, g)  # f has one slot, so this is the insertion into it
     for b in NON_UNIT:
         # f(g(b)) expanded over the basis, units dropped
         expected = AlgebraElement.zero()
@@ -187,15 +201,13 @@ def test_circle_composition_degree_one():
 
 
 def test_circle_with_identity_fixes_multiplication():
-    f = multiplication_cochain()
-    got = circle_i(f, identity_cochain(), 1)
-    for args in itertools.product(NON_UNIT, repeat=2):
-        assert got(args) == f(args)
-
-
-def test_circle_slot_out_of_range():
-    with pytest.raises(ValueError):
-        circle_i(identity_cochain(), identity_cochain(), 2)
+    # inserting the identity into any one slot gives f back, so the sum over
+    # the slots is f for an odd number of slots and 0 for an even number
+    triple = BarCochain(3, lambda args: (MONO[args[0]] * MONO[args[1]] * MONO[args[2]]).bits)
+    for f in (identity_cochain(), multiplication_cochain(), triple):
+        got = bar.circle(f, identity_cochain())
+        for args in itertools.product(NON_UNIT, repeat=f.degree):
+            assert got(args) == (f(args) if f.degree % 2 else AlgebraElement.zero()), args
 
 
 def test_bracket_with_self_vanishes():
@@ -323,7 +335,7 @@ def test_negative_degree_is_rejected():
         with pytest.raises(ValueError, match="degrees 0 and 0"):
             op(c, c)
     with pytest.raises(ValueError, match="-1"):
-        bar.zero_cochain(-1)
+        BarCochain(-1, lambda args: 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,81 @@
+"""The split between the product and the oracle: the product modules know
+nothing of the suites, each suite is its slice of `verify all`, and the
+table script writes the golden tables."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from q8bv import checks, cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "q8bv"
+GOLDEN = ROOT / "bench" / "golden"
+PRODUCT = ("algebra", "bar", "gf2", "minres", "compare", "hhring")
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module.rpartition(".")[2]
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.rpartition(".")[2] for alias in node.names)
+
+
+@pytest.mark.parametrize("module", PRODUCT)
+def test_product_module_has_no_oracle_code(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert not {"report", "checks"} & set(imported_modules(tree))
+    functions = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert not [f for f in functions if f.startswith(("verify_", "suite_"))]
+
+
+def test_cli_defines_no_suite():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    functions = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert not [f for f in functions if f.startswith(("verify_", "suite_"))]
+
+
+def test_each_suite_is_its_slice_of_verify_all(capsys):
+    code, out = run(capsys, "verify", "all", "--json")
+    assert code == 0
+    every = [c["name"] for c in json.loads(out)["checks"]]
+    start = 0
+    for suite in checks.SUITES:
+        code, out = run(capsys, "verify", suite, "--json")
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert names and names == every[start : start + len(names)], suite
+        start += len(names)
+    assert start == len(every)
+
+
+def test_emit_tables_writes_the_golden_tables_and_the_dims(tmp_path, capsys):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "emit_tables.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for kind in cli.TABLE_KINDS:
+        golden = (GOLDEN / f"table_{kind}.json").read_bytes()
+        assert (tmp_path / f"{kind}.json").read_bytes() == golden, kind
+        entries = json.loads(golden)["entries"]
+        assert (tmp_path / f"{kind}.md").read_text() == cli.render_table_markdown(kind, entries)
+    code, out = run(capsys, "dims")
+    assert code == 0
+    assert (tmp_path / "dims.txt").read_text() == out

@@ -4,17 +4,11 @@ import itertools
 
 import pytest
 
-from q8bv import cli, compare, hhring, minres
+from q8bv import checks, compare, hhring, minres
 from q8bv.algebra import MONO_MUL, UNIT, X, XY, XYX, XYXY, Y, YX, AlgebraElement
 from q8bv.bar import BarChain, bv_delta
-from q8bv.compare import (
-    phi,
-    phi_reference,
-    psi,
-    transport_to_bar,
-    transport_to_min,
-    verify_chain_maps,
-)
+from q8bv.checks import phi_reference
+from q8bv.compare import phi, psi, transport_to_bar, transport_to_min
 from q8bv.hhring import catalog, class_of_monomial, delta_class
 from q8bv.minres import MinCochain, MinResElement
 
@@ -124,13 +118,8 @@ def test_psi_degree_guard():
 
 
 def test_verify_chain_maps_passes():
-    report = verify_chain_maps(6)
+    report = checks.suite_comparison()
     assert report.passed
-
-
-def test_verify_chain_maps_resource_guard():
-    with pytest.raises(ValueError):
-        verify_chain_maps(7)
 
 
 def test_fault_injected_t2_breaks_degree_three(monkeypatch):
@@ -141,7 +130,7 @@ def test_fault_injected_t2_breaks_degree_three(monkeypatch):
     monkeypatch.setattr(minres, "HOMOTOPY_TABLES", tuple(tables))
     compare.clear_psi_memo()
     try:
-        report = verify_chain_maps(3)
+        report = checks.suite_comparison()
         assert not report.passed
         failed = " ".join(c.name for c in report.checks if not c.passed)
         assert "psi" in failed
@@ -157,7 +146,7 @@ def test_fault_injected_t1_after_warm_up_breaks_transport(monkeypatch):
     healthy = {name: transport_to_bar(cat[name].rep) for name in ("v1", "v2")}
     tuples = list(itertools.product(range(1, 8), repeat=2))
     warm = {name: [f(mids) for mids in tuples] for name, f in healthy.items()}
-    assert cli.suite_comparison().passed
+    assert checks.suite_comparison().passed
 
     tables = list(minres.HOMOTOPY_TABLES)
     broken = dict(tables[1])
@@ -166,7 +155,7 @@ def test_fault_injected_t1_after_warm_up_breaks_transport(monkeypatch):
     monkeypatch.setattr(minres, "HOMOTOPY_TABLES", tuple(tables))
     compare.clear_psi_memo()
     try:
-        report = cli.suite_comparison()
+        report = checks.suite_comparison()
         failed = [c.name for c in report.checks if not c.passed]
         assert "psi chain map, degrees 1..3 exhaustive" in failed
         # the degree-3 transport tables and the degree-2 transports see it too;
