@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .algebra import MONO_MUL, UNIT, XYXY, AlgebraElement, dual_basis, mask_mul
-from .algebra import evaluate_bits, left_act, place, right_act, rows
+from .algebra import evaluate_bits, place, rows
 
 Mids = tuple[int, ...]
 
@@ -41,22 +41,31 @@ class TermSum:
     degree: int
     terms: dict[Mids, int]
 
+    def __post_init__(self) -> None:
+        if self.degree < 0:
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
+
     @classmethod
     def zero(cls, degree: int):
         return cls(degree, {})
 
     @classmethod
     def from_dict(cls, degree: int, terms: dict[Mids, int]):
-        """The sum with value terms[mids] at mids; takes the dict, drops zero values."""
+        """The sum with value terms[mids] at mids; takes the dict, drops zero values.
+
+        Rejects a key whose length is not the degree.
+        """
         if 0 in terms.values():
             terms = {mids: bits for mids, bits in terms.items() if bits}
-        return cls(degree, terms)
+        total = cls(degree, terms)
+        for mids in terms:
+            if len(mids) != degree:
+                raise ValueError(f"key {mids!r} does not have length {degree}")
+        return total
 
     @classmethod
     def of(cls, degree: int, terms: Iterable[Any]):
         """Sum of basis terms, each in the form the _pack of the subclass reads."""
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
         acc: dict[Mids, int] = {}
         for term in terms:
             mids, bits = cls._pack(term)
@@ -98,20 +107,6 @@ class BarChain(TermSum):
             if not 0 <= index < 8:
                 raise ValueError(f"{name} {index!r} of {term!r} is not a monomial 0..7")
         return tuple(mids), place(1 << left, 0, 1 << right)
-
-
-def left_multiply(a: AlgebraElement, chain: BarChain) -> BarChain:
-    """Left module action on the outer left frames."""
-    return BarChain.from_dict(
-        chain.degree, {mids: left_act(a.bits, frames) for mids, frames in chain.terms.items()}
-    )
-
-
-def right_multiply(chain: BarChain, a: AlgebraElement) -> BarChain:
-    """Right module action on the outer right frames."""
-    return BarChain.from_dict(
-        chain.degree, {mids: right_act(frames, a.bits) for mids, frames in chain.terms.items()}
-    )
 
 
 def shift_in(chain: BarChain) -> BarChain:

@@ -173,6 +173,13 @@ def suite_homotopy() -> Report:
 # ---------------------------------------------------------------------------
 
 
+def frame_multiply(a: int, chain: BarChain, b: int) -> BarChain:
+    """a . chain . b for coefficient masks a and b, acting on the outer frames."""
+    return BarChain.from_dict(
+        chain.degree, {mids: right_act(left_act(a, frames), b) for mids, frames in chain.terms.items()}
+    )
+
+
 def phi_reference(n: int) -> tuple[BarChain, ...]:
     """Independent expansion of the first six comparison-map values.
 
@@ -209,18 +216,11 @@ def phi_reference(n: int) -> tuple[BarChain, ...]:
         deg3 = phi_reference(3)[0]
         acc = BarChain.zero(4)
         for b in range(1, 8):
-            framed = bar.right_multiply(
-                bar.left_multiply(AlgebraElement.monomial(b), deg3),
-                AlgebraElement.monomial(dual_basis(b)),
-            )
-            acc = acc + bar.shift_in(framed)
+            acc = acc + bar.shift_in(frame_multiply(1 << b, deg3, 1 << dual_basis(b)))
         return (acc,)
     if n == 5:
         deg4 = phi_reference(4)[0]
-        return tuple(
-            bar.shift_in(bar.left_multiply(AlgebraElement.monomial(g), deg4))
-            for g in (X, Y)
-        )
+        return tuple(bar.shift_in(frame_multiply(1 << g, deg4, 1 << UNIT)) for g in (X, Y))
     raise ValueError("reference values exist for degrees 0..5 only")
 
 

@@ -15,6 +15,11 @@ so the hand tables stay the only source of truth.  psi_bits is the int entry:
 transport_to_bar evaluates a cochain on its packed values through
 algebra.evaluate_bits, with no MinResElement or AlgebraElement in between.
 
+Building phi(n) also fills psi on every prefix of its interior tuples, and
+with it every tail of those prefixes, so the values transport_to_min and
+delta_matrix read are memoized once phi(n) exists, whichever query asked
+first.
+
 delta_matrix(n) is class-level Delta, transport_to_min o bar.bv_delta o
 transport_to_bar on degree-n cochains, as a matrix over the basis cochains.
 It is built in one pass over the interior tuples of phi(n - 1) that extends
@@ -22,7 +27,7 @@ memoized psi tails through the same step tables and skips every zero value,
 and kept per degree until clear_psi_memo, which drops the matrices with the
 memo and the step tables.
 
-Degrees are capped at 8: that is as far as any product or BV computation on
+Degrees are capped at 8: that is as far as any bracket or BV computation on
 the 4-periodic resolution needs to go, and it keeps the memo small.
 """
 from __future__ import annotations
@@ -52,10 +57,17 @@ def phi(n: int) -> tuple[BarChain, ...]:
     if n == 0:
         return (BarChain.of(0, [(UNIT, (), UNIT)]),)
     # phi = s o phi o d on generators, and s kills the images of unit-left terms of d
-    return tuple(
+    chains = tuple(
         shift_in(phi_on_element(MinResElement.of(n - 1, formula.radical_terms)))
         for formula in differential_formulas(n)
     )
+    # psi on every prefix, and through _psi_fill on its tails: the values that
+    # transport_to_min and _build_delta_matrix read
+    for chain in chains:
+        for mids in chain.terms:
+            for i in range(1, n + 1):
+                psi_bits(mids[:i])
+    return chains
 
 
 def phi_on_element(e: MinResElement) -> BarChain:

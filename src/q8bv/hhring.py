@@ -5,10 +5,12 @@ linear algebra on the packed int of each representative (MinCochain.bits):
 the cocycle check applies the cached matrix of the cochain differential (one
 per degree mod 4), and class equality and canonical representatives are one
 gf2.reduce against the cached echelon pivots of the coboundaries.  Products
-and brackets are computed by transporting representatives to the normalized
-bar complex through psi, applying the bar-level operation there, and pulling
-the result back through phi; the degree -1 operator applies
-compare.delta_matrix, the same composite as one matrix per degree.  Classes
+are the Yoneda product minres.cup of the representatives, on the minimal
+resolution alone.  Brackets are computed by transporting representatives to
+the normalized bar complex through psi, applying the bar-level bracket there,
+and pulling the result back through phi; the degree -1 operator applies
+compare.delta_matrix, the same kind of composite as one matrix per degree.
+bar.cup stays as the oracle the tests compare the product against.  Classes
 render as sums of generator monomials by one gf2.reduce against cached
 pivots, whose tags record the chosen monomials each row combines.  The
 published generator catalog and the nonzero Delta entries, whose keys are
@@ -23,7 +25,7 @@ from functools import lru_cache
 
 from . import gf2
 from .algebra import ONE, UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
-from .bar import bracket as bar_bracket, cup as bar_cup
+from .bar import bracket as bar_bracket
 from .compare import (
     MAX_DEGREE,
     clear_psi_memo,
@@ -32,7 +34,7 @@ from .compare import (
     transport_to_bar,
     transport_to_min,
 )
-from .minres import GENERATOR_COUNTS, MinCochain, min_cochain_differential
+from .minres import GENERATOR_COUNTS, MinCochain, cup, min_cochain_differential
 
 
 def _width(n: int) -> int:
@@ -123,10 +125,9 @@ def canonical_rep(c: CohomologyClass) -> MinCochain:
 
 
 def cup_classes(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    if a.degree + b.degree > MAX_DEGREE:
-        raise ValueError("degree overflow; multiply by the periodicity class instead")
-    product = bar_cup(transport_to_bar(a.rep), transport_to_bar(b.rep))
-    return CohomologyClass(transport_to_min(product))
+    """Cup product, as the Yoneda product minres.cup of the representatives."""
+    _check_degree(a.degree + b.degree)
+    return CohomologyClass(cup(a.rep, b.rep))
 
 
 def delta_class(a: CohomologyClass) -> CohomologyClass:
@@ -145,8 +146,7 @@ def bracket_classes(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Gerstenhaber bracket; for two degree-0 classes it is identically zero."""
     if a.degree + b.degree == 0:
         return CohomologyClass.zero(0)
-    if a.degree + b.degree - 1 > MAX_DEGREE:
-        raise ValueError("degree overflow")
+    _check_degree(a.degree + b.degree - 1)
     lie = bar_bracket(transport_to_bar(a.rep), transport_to_bar(b.rep))
     return CohomologyClass(transport_to_min(lie))
 

@@ -30,8 +30,10 @@ from .algebra import (
     bimodule_derivation,
     dual_basis,
     evaluate_bits,
+    left_act,
     mask_mul,
     place,
+    right_act,
     rows,
 )
 
@@ -53,6 +55,10 @@ class MinResElement:
 
     degree: int
     bits: int
+
+    def __post_init__(self) -> None:
+        if self.degree < 0:
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
 
     @classmethod
     def zero(cls, degree: int) -> "MinResElement":
@@ -332,6 +338,30 @@ def evaluate_min(f: MinCochain, e: MinResElement) -> AlgebraElement:
     if e.degree != f.degree:
         raise ValueError("degree mismatch")
     return AlgebraElement(evaluate_bits([v.bits for v in f.values], e.bits))
+
+
+def cup(f: MinCochain, g: MinCochain) -> MinCochain:
+    """Yoneda product f o g_m of cochains of degrees m and n, on packed ints.
+
+    g lifts to a chain map g_k : P_{n+k} -> P_k through the weak
+    self-homotopy: g_0(gen) = 1 (x) g(gen) and g_k(gen) = t_{k-1}(g_{k-1}(d
+    gen)), with g_{k-1} extended bimodule-linearly over the differential
+    formulas.  In characteristic 2 this is the cup product on cohomology.
+    Reads HOMOTOPY_TABLES as it stands at the call.
+    """
+    m, n = f.degree, g.degree
+    lift = [place(1 << UNIT, 0, value.bits) for value in g.values]
+    for k in range(1, m + 1):
+        table = HOMOTOPY_TABLES[(k - 1) % 4]
+        images = []
+        for formula in differential_formulas(n + k):
+            bits = 0
+            for a, slot, b in formula.all_terms:
+                bits ^= left_act(1 << a, right_act(lift[slot], 1 << b))
+            images.append(_apply_homotopy(table, bits))
+        lift = images
+    values = [v.bits for v in f.values]
+    return MinCochain(m + n, sum(evaluate_bits(values, e) << 8 * s for s, e in enumerate(lift)))
 
 
 def min_cochain_differential(f: MinCochain) -> MinCochain:

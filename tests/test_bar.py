@@ -1,12 +1,13 @@
 """Bar complex: differentials, products, Connes operator, degree -1 operator."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q8bv import bar
+from q8bv import bar, checks
 from q8bv.algebra import UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
 from q8bv.bar import (
     BarChain,
@@ -92,6 +93,23 @@ def test_hochschild_chain_of_rejects_negative_degrees():
         HochschildChain.of(-1, [])
 
 
+def test_zero_rejects_negative_degrees():
+    for cls in (BarChain, HochschildChain):
+        with pytest.raises(ValueError, match="got -1$"):
+            cls.zero(-1)
+
+
+def test_from_dict_rejects_negative_degrees():
+    with pytest.raises(ValueError, match="got -1$"):
+        HochschildChain.from_dict(-1, {(X,): 1})
+
+
+def test_from_dict_rejects_keys_whose_length_is_not_the_degree():
+    for cls, degree, key in ((BarChain, 2, (X,)), (HochschildChain, 1, (X, Y))):
+        with pytest.raises(ValueError, match=rf"key {re.escape(repr(key))} does not have length {degree}"):
+            cls.from_dict(degree, {key: 1})
+
+
 def test_hochschild_chain_of_rejects_heads_outside_the_monomials():
     for head in (8, -1):
         with pytest.raises(ValueError, match=f"head {head} "):
@@ -110,12 +128,13 @@ def test_chain_sums_stay_canonical():
 
 
 def test_frame_multiplication_on_single_terms():
+    unit = 1 << UNIT
     for a in range(8):
         for left in range(8):
-            got = bar.left_multiply(MONO[a], tensor(left, (X,), Y))
+            got = checks.frame_multiply(1 << a, tensor(left, (X,), Y), unit)
             prod = MONO[a] * MONO[left]
             assert got == (tensor(next(prod.monomials()), (X,), Y) if prod else BarChain.zero(1))
-            got = bar.right_multiply(tensor(Y, (X,), left), MONO[a])
+            got = checks.frame_multiply(unit, tensor(Y, (X,), left), 1 << a)
             prod = MONO[left] * MONO[a]
             assert got == (tensor(Y, (X,), next(prod.monomials())) if prod else BarChain.zero(1))
 

@@ -42,6 +42,24 @@ def test_product_module_has_no_oracle_code(module):
     assert not [f for f in functions if f.startswith(("verify_", "suite_"))]
 
 
+@pytest.mark.parametrize("module", [m for m in PRODUCT if m != "bar"] + ["cli"])
+def test_only_the_oracle_takes_the_bar_cup(module):
+    """Products are Yoneda products on the minimal resolution; bar.cup is the
+    oracle the tests compare them against."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imports = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "bar"
+        for alias in node.names
+    ]
+    attributes = [
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "bar"
+    ]
+    assert "cup" not in imports + attributes
+
+
 def test_cli_defines_no_suite():
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     functions = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]

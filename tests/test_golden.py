@@ -1,5 +1,6 @@
 """Golden outputs of the benchmark: tables byte for byte, the verify check
-names, and a fixed slice of the deep class queries."""
+names, every deep cup query and a fixed slice of the deep Delta and bracket
+queries."""
 
 import json
 from pathlib import Path
@@ -46,10 +47,21 @@ def answer(key: str) -> str:
     return hhring.render_class(value)
 
 
+def mismatches(keys, answers):
+    return [(key, got, answers[key]) for key in keys if (got := answer(key)) != answers[key]]
+
+
 def test_every_twentieth_deep_answer_matches_golden():
+    """Brackets and Deltas, sampled; the cups are all checked below."""
     answers = json.loads((GOLDEN / "deep_answers.json").read_text())
-    keys = list(answers)[::20]
-    assert len(keys) == 136
-    assert {key.split(":")[0] for key in keys} == {"cup", "delta", "bracket"}
-    mismatches = [(key, got, answers[key]) for key in keys if (got := answer(key)) != answers[key]]
-    assert not mismatches, mismatches[:3]
+    keys = [key for key in list(answers)[::20] if not key.startswith("cup:")]
+    assert len(keys) == 67
+    assert {key.split(":")[0] for key in keys} == {"delta", "bracket"}
+    assert not (bad := mismatches(keys, answers)), bad[:3]
+
+
+def test_every_deep_cup_answer_matches_golden():
+    answers = json.loads((GOLDEN / "deep_answers.json").read_text())
+    keys = [key for key in answers if key.startswith("cup:")]
+    assert len(keys) == 1370
+    assert not (bad := mismatches(keys, answers)), bad[:3]

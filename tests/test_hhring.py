@@ -180,8 +180,15 @@ def test_cup_of_p1_with_itself_vanishes():
 def test_cup_degree_overflow():
     cat = catalog()
     z2 = cup_classes(cat["z"], cat["z"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^degree 9 outside supported range 0\.\.8$"):
         cup_classes(z2, cat["u1"])
+
+
+def test_bracket_degree_overflow():
+    cat = catalog()
+    z2 = cup_classes(cat["z"], cat["z"])
+    with pytest.raises(ValueError, match=r"^degree 9 outside supported range 0\.\.8$"):
+        bracket_classes(z2, cat["v1"])
 
 
 def test_cup_graded_commutative_on_all_pairs():
@@ -354,8 +361,10 @@ def test_unit_class():
 def test_clear_caches_resets_every_memo_built_on_transport(monkeypatch):
     from q8bv import compare, minres
 
-    mono = ("u1", "u1", "z")
-    warm = class_of_monomial(mono).rep
+    cat = catalog()
+    mono, cube = ("u1", "u1", "z"), ("u1", "u1", "u1")
+    warm, warm_cube = class_of_monomial(mono).rep, class_of_monomial(cube)
+    warm_bracket = bracket_classes(cat["p2"], cat["v2"])
     tables = list(minres.HOMOTOPY_TABLES)
     broken = dict(tables[1])
     broken[(X, 0)] = ()  # t1(x (x) x (x) 1) should be 1 (x) rx (x) 1
@@ -364,12 +373,18 @@ def test_clear_caches_resets_every_memo_built_on_transport(monkeypatch):
     try:
         compare.clear_psi_memo()  # psi alone: the monomial class memo keeps the warm value
         assert class_of_monomial(mono).rep == warm
+        # the bracket transports through psi, so the psi reset reaches it
+        assert not class_eq(bracket_classes(cat["p2"], cat["v2"]), warm_bracket)
         hhring.clear_caches()
         assert class_of_monomial(mono).rep != warm
+        # the cup lifts through the homotopy tables as they stand: the class moves
+        assert not class_eq(class_of_monomial(cube), warm_cube)
     finally:
         monkeypatch.undo()
         hhring.clear_caches()
     assert class_of_monomial(mono).rep == warm
+    assert class_of_monomial(cube).rep == warm_cube.rep
+    assert bracket_classes(cat["p2"], cat["v2"]).rep == warm_bracket.rep
 
 
 def test_clear_caches_reaches_caches_behind_wrapped_names(monkeypatch):

@@ -1,9 +1,13 @@
 """Minimal resolution: differentials, homotopy tables, periodicity, fault injection."""
 
+import random
+
 import pytest
 
-from q8bv import checks, minres
+from q8bv import bar, checks, hhring, minres
 from q8bv.algebra import UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement, left_act, right_act
+from q8bv.compare import transport_to_bar, transport_to_min
+from q8bv.hhring import CohomologyClass, class_eq
 from q8bv.minres import (
     MinCochain,
     MinResElement,
@@ -76,6 +80,16 @@ def test_of_rejects_negative_degrees():
     for degree in (-1, -4):
         with pytest.raises(ValueError, match=f"got {degree}$"):
             MinResElement.of(degree, [(UNIT, 0, UNIT)])
+
+
+def test_constructor_rejects_negative_degrees():
+    with pytest.raises(ValueError, match="got -3$"):
+        MinResElement(-3, 5)
+
+
+def test_zero_rejects_negative_degrees():
+    with pytest.raises(ValueError, match="got -1$"):
+        MinResElement.zero(-1)
 
 
 def test_differential_rejects_degree_zero():
@@ -177,3 +191,35 @@ def test_evaluate_min_is_bimodule_linear():
     e = elem(1, (X, 0, Y), (Y, 1, UNIT))
     expected = MONO[X] * MONO[XY] * MONO[Y] + MONO[Y] * MONO[X]
     assert evaluate_min(f, e) == expected
+
+
+def bar_cup_class(f, g):
+    """The oracle: transport both factors to the bar complex, take bar.cup, pull back."""
+    return CohomologyClass(transport_to_min(bar.cup(transport_to_bar(f), transport_to_bar(g))))
+
+
+def test_cup_agrees_with_the_bar_cup_on_every_ordered_generator_pair():
+    cat = hhring.catalog()
+    for a in hhring.GENERATOR_ORDER:
+        for b in hhring.GENERATOR_ORDER:
+            f, g = cat[a].rep, cat[b].rep
+            got = CohomologyClass(minres.cup(f, g))
+            assert got.degree == f.degree + g.degree
+            assert class_eq(got, bar_cup_class(f, g)), (a, b)
+
+
+def test_cup_agrees_with_the_bar_cup_on_a_seeded_slice_of_monomial_cups():
+    cat = hhring.catalog()
+    cases = [
+        (g, mono, generator_first)
+        for n in range(9)
+        for mono in hhring._candidate_monomials(n)
+        for g in hhring.GENERATOR_ORDER
+        if n + hhring.GENERATOR_DEGREES[g] <= 8
+        for generator_first in (True, False)
+    ]
+    for g, mono, generator_first in random.Random(9).sample(cases, 200):
+        f, h = cat[g].rep, hhring.class_of_monomial(mono).rep
+        if not generator_first:
+            f, h = h, f
+        assert class_eq(CohomologyClass(minres.cup(f, h)), bar_cup_class(f, h)), (g, mono, generator_first)
