@@ -261,17 +261,14 @@ def _quaternion_table() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(idx[mul(p, q)] for q in els) for p in els)
 
 
-# GF(4) scalars as 2-bit integers c0 + w*c1 with w^2 = w + 1.
-def _gf4_scalar_mul(s: int, t: int) -> int:
-    s0, s1 = s & 1, s >> 1
-    t0, t1 = t & 1, t >> 1
-    c0 = (s0 & t0) ^ (s1 & t1)
-    c1 = (s0 & t1) ^ (s1 & t0) ^ (s1 & t1)
-    return c0 | (c1 << 1)
-
-
-_GF4_MUL = tuple(tuple(_gf4_scalar_mul(s, t) for t in range(4)) for s in range(4))
+# GF(4) scalars are 2-bit integers c0 + w*c1 with w^2 = w + 1.
 _GF4_INV = {1: 1, 2: 3, 3: 2}
+
+
+def _gf4_scale(c: int, v: tuple[int, int]) -> tuple[int, int]:
+    """c * v for a GF(4) scalar c and a vector v = m0 + w*m1 of two bit masks."""
+    m0, m1 = v
+    return ((0, 0), v, (m1, m0 ^ m1), (m0 ^ m1, m0))[c]
 
 
 class GroupAlgebraOracle:
@@ -293,6 +290,17 @@ class GroupAlgebraOracle:
         self.image_x = (la ^ lab, lb ^ lab)
         self.image_y = (la ^ lb, lb ^ lab)
         self.images = [self._word_image(w) for w in BASIS_WORDS]
+        # echelon basis of the images: (pivot coordinate, vector with
+        # coefficient 1 there, its combination of the images as a vector
+        # over the image indices), each reduced against the rows before it
+        self._basis: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
+        for n, image in enumerate(self.images):
+            vec, comb = self._reduce(image, (1 << n, 0))
+            if vec != (0, 0):
+                support = vec[0] | vec[1]
+                r = (support & -support).bit_length() - 1
+                inv = _GF4_INV[self._coords(vec, r)]
+                self._basis.append((r, _gf4_scale(inv, vec), _gf4_scale(inv, comb)))
 
     # -- GF(4) group-algebra arithmetic -------------------------------------
     def _gmul2(self, u: int, v: int) -> int:
@@ -326,38 +334,24 @@ class GroupAlgebraOracle:
     def _coords(self, elem: tuple[int, int], r: int) -> int:
         return (elem[0] >> r & 1) | ((elem[1] >> r & 1) << 1)
 
+    def _reduce(
+        self, target: tuple[int, int], comb: tuple[int, int]
+    ) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Clear the pivot coordinates of target, adding to comb the image
+        combinations of the basis rows used."""
+        for r, vec, row_comb in self._basis:
+            c = self._coords(target, r)
+            if c:
+                target = self.add(target, _gf4_scale(c, vec))
+                comb = self.add(comb, _gf4_scale(c, row_comb))
+        return target, comb
+
     def express(self, target: tuple[int, int]) -> Optional[list[int]]:
         """Coordinates of target over the monomial-image basis, or None."""
-        mat = [
-            [self._coords(img, r) for img in self.images]
-            + [self._coords(target, r)]
-            for r in range(8)
-        ]
-        piv: list[tuple[int, int]] = []
-        row = 0
-        for col in range(8):
-            p = next((i for i in range(row, 8) if mat[i][col]), None)
-            if p is None:
-                continue
-            mat[row], mat[p] = mat[p], mat[row]
-            inv = _GF4_INV[mat[row][col]]
-            mat[row] = [_GF4_MUL[e][inv] for e in mat[row]]
-            for i in range(8):
-                if i != row and mat[i][col]:
-                    f = mat[i][col]
-                    mat[i] = [
-                        e ^ _GF4_MUL[f][mat[row][k]]
-                        for k, e in enumerate(mat[i])
-                    ]
-            piv.append((row, col))
-            row += 1
-        for i in range(row, 8):
-            if mat[i][8]:
-                return None
-        sol = [0] * 8
-        for r, c in piv:
-            sol[c] = mat[r][8]
-        return sol
+        rest, comb = self._reduce(target, (0, 0))
+        if rest != (0, 0):
+            return None
+        return [self._coords(comb, n) for n in range(8)]
 
     def images_independent(self) -> bool:
         return self.express((0, 0)) is not None and all(

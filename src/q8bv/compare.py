@@ -27,15 +27,17 @@ memoized psi tails through the same step tables and skips every zero value,
 and kept per degree until clear_psi_memo, which drops the matrices with the
 memo and the step tables.
 
-Degrees are capped at 8: that is as far as any bracket or BV computation on
-the 4-periodic resolution needs to go, and it keeps the memo small.
+Degrees are capped at 8: that is as far as the BV computation and the
+oracle transports on the 4-periodic resolution need to go, and it keeps the
+memo small.  The product path reaches this module only through
+delta_matrix; the cup and the bracket are computed in minres.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 from .algebra import MONO_MUL, UNIT, XYXY, dual_basis, mask_mul
-from .algebra import evaluate_bits, left_act, right_act, rows
+from .algebra import evaluate_bits, left_act, place, right_act, rows
 from .bar import BarChain, BarCochain, Mids, evaluate_on_chain, shift_in
 from .minres import (
     GENERATOR_COUNTS,
@@ -81,6 +83,8 @@ def phi_on_element(e: MinResElement) -> BarChain:
 
 
 _PSI_MEMO: dict[Mids, int] = {}
+#: packed 1 (x) 1, the generator of P_0: psi of the empty tuple, never memoized
+_UNIT_GENERATOR = place(1 << UNIT, 0, 1 << UNIT)
 #: step table of t_r o (m . -) at index 8*r + m, built on first use
 _STEP_TABLES: list[tuple[int, ...] | None] = [None] * 32
 
@@ -116,7 +120,7 @@ def _psi_fill(mids: Mids) -> int:
     k = min(1, n)
     while k < n and mids[k:] not in _PSI_MEMO:
         k += 1
-    bits = _PSI_MEMO[mids[k:]] if k < n else MinResElement.generator(0, 0).bits
+    bits = _PSI_MEMO[mids[k:]] if k < n else _UNIT_GENERATOR
     for i in range(k - 1, -1, -1):
         bits = _PSI_MEMO[mids[i:]] = _step(bits, n - i - 1, mids[i])
     return bits

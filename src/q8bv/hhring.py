@@ -5,12 +5,12 @@ linear algebra on the packed int of each representative (MinCochain.bits):
 the cocycle check applies the cached matrix of the cochain differential (one
 per degree mod 4), and class equality and canonical representatives are one
 gf2.reduce against the cached echelon pivots of the coboundaries.  Products
-are the Yoneda product minres.cup of the representatives, on the minimal
-resolution alone.  Brackets are computed by transporting representatives to
-the normalized bar complex through psi, applying the bar-level bracket there,
-and pulling the result back through phi; the degree -1 operator applies
-compare.delta_matrix, the same kind of composite as one matrix per degree.
-bar.cup stays as the oracle the tests compare the product against.  Classes
+are the Yoneda product minres.cup of the representatives and brackets the
+homotopy-lifting bracket minres.bracket, both on the minimal resolution
+alone; the degree -1 operator applies compare.delta_matrix, the composite of
+the transport to the bar complex through psi, the bar-level operator and the
+pullback through phi, as one matrix per degree.  bar.cup and bar.bracket stay
+as the oracles the tests compare the product and the bracket against.  Classes
 render as sums of generator monomials by one gf2.reduce against cached
 pivots, whose tags record the chosen monomials each row combines.  The
 published generator catalog and the nonzero Delta entries, whose keys are
@@ -25,16 +25,8 @@ from functools import lru_cache
 
 from . import gf2
 from .algebra import ONE, UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
-from .bar import bracket as bar_bracket
-from .compare import (
-    MAX_DEGREE,
-    clear_psi_memo,
-    delta_matrix,
-    phi,
-    transport_to_bar,
-    transport_to_min,
-)
-from .minres import GENERATOR_COUNTS, MinCochain, cup, min_cochain_differential
+from .compare import MAX_DEGREE, clear_psi_memo, delta_matrix, phi
+from .minres import GENERATOR_COUNTS, MinCochain, bracket, cup, min_cochain_differential
 
 
 def _width(n: int) -> int:
@@ -143,12 +135,12 @@ def delta_or_zero(a: CohomologyClass) -> CohomologyClass:
 
 
 def bracket_classes(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """Gerstenhaber bracket; for two degree-0 classes it is identically zero."""
+    """Gerstenhaber bracket, as minres.bracket of the representatives; for two
+    degree-0 classes it is identically zero."""
     if a.degree + b.degree == 0:
         return CohomologyClass.zero(0)
     _check_degree(a.degree + b.degree - 1)
-    lie = bar_bracket(transport_to_bar(a.rep), transport_to_bar(b.rep))
-    return CohomologyClass(transport_to_min(lie))
+    return CohomologyClass(bracket(a.rep, b.rep))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ Differential and homotopy value tables are stored on arguments of the form
 (basis monomial) (x) generator (x) 1 and extended by right A-linearity.
 An element of P_n is one int in the packed free-bimodule layout of
 algebra, which the bar chains also use for their outer frames.
+
+Cochains on P are packed ints too, and the product structure is computed on
+them without the bar complex: cup is the Yoneda product, lifting one factor
+through the weak self-homotopy, and bracket is the Gerstenhaber bracket by
+homotopy lifting through a diagonal P -> P (x)_A P built with the same
+homotopy.  Neither has a degree cap.
 """
 from __future__ import annotations
 
@@ -362,6 +368,142 @@ def cup(f: MinCochain, g: MinCochain) -> MinCochain:
         lift = images
     values = [v.bits for v in f.values]
     return MinCochain(m + n, sum(evaluate_bits(values, e) << 8 * s for s, e in enumerate(lift)))
+
+
+# ---------------------------------------------------------------------------
+# The Gerstenhaber bracket by homotopy lifting
+#
+# An element of P_i (x)_A P_j is one int: the basis tensor
+# left (x) gen_s (x) mid (x) gen_u (x) right is bit
+# ((s*c_j + u)*8 + left)*64 + mid*8 + right, where c_j is the number of
+# generators of P_j.  That is the packed layout of algebra with slot
+# (s*c_j + u)*8 + left and mid as the left frame, so algebra.rows reads it as
+# (slot, mid, rights) rows.  An element of (P (x)_A P)_k is the list of its
+# columns P_i (x)_A P_{k-i}, i = 0..k.
+# ---------------------------------------------------------------------------
+
+_BLOCK = (1 << 64) - 1  # the 64 bits of one slot of P_k
+
+#: the rows of each column of the images of the generators of one degree
+ColumnRows = list[list[list[tuple[int, int, int]]]]
+
+
+def _diagonal(top: int) -> list[list[list[int]]]:
+    """The diagonal P -> P (x)_A P on the generators of P_0..P_top.
+
+    Entry [k][slot][i] is column i of the image of gen_slot of P_k.  The
+    diagonal is lifted through the right-linear contracting homotopy
+    H = t (x) 1 + iota t p of P (x)_A P, where p(x (x) y) = mu(x) y on the
+    column P_0 (x)_A P_j and iota(y) = (1 (x) 1) (x) y:
+    Delta_k(gen) = H(Delta_{k-1}(d gen)) and Delta_0(1 (x) 1) = (1 (x) 1) (x) (1 (x) 1).
+    Since t vanishes on every 1 (x) gen (x) 1, (mu (x) 1) Delta = id = (1 (x) mu) Delta.
+    Reads HOMOTOPY_TABLES as it stands at the call.
+    """
+    diagonal = [[[1]]]
+    for k in range(1, top + 1):
+        # the rows of each column of Delta_{k-1}, read once for every term of d_k
+        previous = [[list(rows(bits)) for bits in columns] for columns in diagonal[-1]]
+        images = []
+        for formula in differential_formulas(k):
+            terms = formula.all_terms
+            columns = [_iota_t_p(terms, previous, k)]
+            for i in range(k):
+                columns.append(_t_tensor_one(terms, previous, i, GENERATOR_COUNTS[(k - 1 - i) % 4]))
+            images.append(columns)
+        diagonal.append(images)
+    return diagonal
+
+
+def _t_tensor_one(terms: tuple[Term, ...], previous: ColumnRows, i: int, c_j: int) -> int:
+    """(t_i (x) 1) on the column P_i (x)_A P_j of the sum of a . previous[slot] . b
+    over the terms (a, slot, b); the result is in P_{i+1} (x)_A P_j."""
+    table = HOMOTOPY_TABLES[i % 4]
+    acc = 0
+    for a, slot, b in terms:
+        row_a = MONO_MUL[a]
+        for pair_left, mid, rights in previous[slot][i]:
+            left = row_a[pair_left & 7]
+            if not left:
+                continue
+            if b:
+                rights = mask_mul(rights, 1 << b)
+                if not rights:
+                    continue
+            s, u = divmod(pair_left >> 3, c_j)
+            for p, s2, q in table[(left.bit_length() - 1, s)]:
+                product = MONO_MUL[q][mid]
+                if product:
+                    acc ^= rights << ((((s2 * c_j + u) << 3 | p) << 3 | product.bit_length() - 1) << 3)
+    return acc
+
+
+def _iota_t_p(terms: tuple[Term, ...], previous: ColumnRows, k: int) -> int:
+    """iota t_{k-1} p on the column P_0 (x)_A P_{k-1} of the sum of
+    a . previous[slot] . b over the terms (a, slot, b)."""
+    projected = 0
+    for a, slot, b in terms:
+        row_a = MONO_MUL[a]
+        for u_left, mid, rights in previous[slot][0]:
+            left = row_a[u_left & 7]
+            if left:
+                projected ^= place(MONO_MUL[left.bit_length() - 1][mid], u_left >> 3, mask_mul(rights, 1 << b))
+    image = _apply_homotopy(HOMOTOPY_TABLES[(k - 1) % 4], projected)
+    return sum((image >> (u << 6) & _BLOCK) << (u << 9) for u in generators(k))
+
+
+def _homotopy_lift(f: MinCochain, diagonal: list[list[list[int]]], top: int) -> list[int]:
+    """A homotopy lifting psi_f : P_k -> P_{k-n+1} of f of degree n, on the
+    generators of P_top.
+
+    psi_f is zero on P_{<n}, and psi_f(gen) = t_{k-n}(F_f(gen) + psi_f(d gen))
+    for k >= n, where F_f = (f (x) 1 + 1 (x) f) Delta_P; then
+    d psi_f + psi_f d = F_f.  Reads HOMOTOPY_TABLES as it stands at the call.
+    """
+    n = f.degree
+    values = [v.bits for v in f.values]
+    c_n = GENERATOR_COUNTS[n % 4]
+    lift: list[int] = []
+    for k in range(n, top + 1):
+        table = HOMOTOPY_TABLES[(k - n) % 4]
+        c_j = GENERATOR_COUNTS[(k - n) % 4]
+        images = []
+        for slot, columns in enumerate(diagonal[k]):
+            acc = 0
+            if lift:  # psi_f(d gen)
+                for a, s, b in differential_formulas(k)[slot].all_terms:
+                    acc ^= left_act(1 << a, right_act(lift[s], 1 << b))
+            # (f (x) 1) on the column P_n (x)_A P_{k-n}: left f(gen_s) mid (x) gen_u (x) right
+            for pair_left, mid, rights in rows(columns[n]):
+                s, u = divmod(pair_left >> 3, c_j)
+                acc ^= place(mask_mul(mask_mul(1 << (pair_left & 7), values[s]), 1 << mid), u, rights)
+            # (1 (x) f) on the column P_{k-n} (x)_A P_n: left (x) gen_s (x) mid f(gen_u) right
+            for pair_left, mid, rights in rows(columns[k - n]):
+                s, u = divmod(pair_left >> 3, c_n)
+                acc ^= place(1 << (pair_left & 7), s, mask_mul(mask_mul(1 << mid, values[u]), rights))
+            images.append(_apply_homotopy(table, acc))
+        lift = images
+    return lift
+
+
+def bracket(f: MinCochain, g: MinCochain) -> MinCochain:
+    """Gerstenhaber bracket f o psi_g + g o psi_f of cochains of degrees m and
+    n, on packed ints (Negron and Witherspoon; Volkov).
+
+    psi_f and psi_g are homotopy liftings through the diagonal of P (see
+    _homotopy_lift), evaluated on P_{m+n-1}; signs are trivial in
+    characteristic 2.  Reads HOMOTOPY_TABLES as it stands at the call.
+    """
+    m, n = f.degree, g.degree
+    top = m + n - 1
+    if top < 0:
+        raise ValueError(f"bracket of degrees {m} and {n} would have degree {top}")
+    diagonal = _diagonal(top)
+    bits = 0
+    for outer, inner in ((f, g), (g, f)):
+        values = [v.bits for v in outer.values]
+        for s, e in enumerate(_homotopy_lift(inner, diagonal, top)):
+            bits ^= evaluate_bits(values, e) << 8 * s
+    return MinCochain(top, bits)
 
 
 def min_cochain_differential(f: MinCochain) -> MinCochain:

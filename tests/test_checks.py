@@ -44,8 +44,9 @@ def test_product_module_has_no_oracle_code(module):
 
 @pytest.mark.parametrize("module", [m for m in PRODUCT if m != "bar"] + ["cli"])
 def test_only_the_oracle_takes_the_bar_cup(module):
-    """Products are Yoneda products on the minimal resolution; bar.cup is the
-    oracle the tests compare them against."""
+    """Products are Yoneda products and brackets are homotopy liftings on the
+    minimal resolution; bar.cup and bar.bracket are the oracles the tests
+    compare them against."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     imports = [
         alias.name
@@ -57,7 +58,32 @@ def test_only_the_oracle_takes_the_bar_cup(module):
         node.attr for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "bar"
     ]
-    assert "cup" not in imports + attributes
+    assert not {"cup", "bracket"} & set(imports + attributes)
+
+
+def test_the_class_ring_imports_no_transport():
+    tree = ast.parse((PACKAGE / "hhring.py").read_text())
+    assert not {"transport_to_bar", "transport_to_min"} & set(imported_modules(tree))
+
+
+def test_the_bracket_table_fills_no_psi_memo():
+    """The bracket table is computed on the minimal resolution alone."""
+    script = (
+        "import contextlib, io\n"
+        "from q8bv import cli, compare\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['table', 'bracket', '--format', 'json'])\n"
+        "print(code, len(compare._PSI_MEMO))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"  # exit code 0, no psi memo entry
 
 
 def test_cli_defines_no_suite():

@@ -373,7 +373,7 @@ def test_clear_caches_resets_every_memo_built_on_transport(monkeypatch):
     try:
         compare.clear_psi_memo()  # psi alone: the monomial class memo keeps the warm value
         assert class_of_monomial(mono).rep == warm
-        # the bracket transports through psi, so the psi reset reaches it
+        # the bracket lifts through the homotopy tables as they stand at each call
         assert not class_eq(bracket_classes(cat["p2"], cat["v2"]), warm_bracket)
         hhring.clear_caches()
         assert class_of_monomial(mono).rep != warm
