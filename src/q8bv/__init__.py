@@ -7,9 +7,9 @@ operator and the degree -1 operator (bar), the period-4 minimal bimodule
 resolution with its weak self-homotopy, the Yoneda product, which is the cup
 product, and the Gerstenhaber bracket by homotopy lifting (minres),
 comparison morphisms in both directions (compare), and cohomology classes
-with exact class arithmetic (hhring).  Apart from that product stand the
-verification suites with every value they check against (checks) and the
-command line (cli).
+with exact class arithmetic in every degree by z-periodicity (hhring).  Apart
+from that product stand the verification suites with every value they check
+against (checks) and the command line (cli).
 """
 
 from .algebra import AlgebraElement, GroupAlgebraOracle, bilinear_form, dual_basis

@@ -16,6 +16,7 @@ from typing import Sequence
 from . import checks, compare, hhring
 
 TABLE_KINDS = ("delta", "bracket", "cup")
+DIMS_MAX = 1000  # largest --max of dims; the class ring itself has no degree cap
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("markdown", "json"), default="markdown")
 
     p_dims = sub.add_parser("dims", help="print cohomology dimensions")
-    p_dims.add_argument("--max", type=int, default=compare.MAX_DEGREE, dest="max_degree")
+    p_dims.add_argument("--max", type=int, default=compare.MAX_DEGREE, dest="max_degree",
+                        help=f"list HH^0..HH^MAX, 0 <= MAX <= {DIMS_MAX} (default %(default)s)")
 
     return parser
 
@@ -115,8 +117,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "dims":
-        if not 0 <= args.max_degree <= compare.MAX_DEGREE:
-            print(f"dims: --max must be between 0 and {compare.MAX_DEGREE}", file=sys.stderr)
+        if not 0 <= args.max_degree <= DIMS_MAX:
+            print(f"dims: --max must be between 0 and {DIMS_MAX}", file=sys.stderr)
             return 2
         for n in range(args.max_degree + 1):
             print(f"HH^{n}: {hhring.hh_dim(n)}")

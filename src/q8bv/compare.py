@@ -27,15 +27,15 @@ memoized psi tails through the same step tables and skips every zero value,
 and kept per degree until clear_psi_memo, which drops the matrices with the
 memo and the step tables.
 
-Degrees are capped at 8: that is as far as the BV computation and the
-oracle transports on the 4-periodic resolution need to go, and it keeps the
-memo small.  The product path reaches this module only through
-delta_matrix; the cup and the bracket are computed in minres.
+Degrees are capped at 8, as far as the oracle transports need to go.  The
+product reads only delta_matrix(1..4), since hhring reduces every class to
+a residue degree by z-periodicity; the cup and the bracket are in minres.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
+from . import gf2
 from .algebra import MONO_MUL, UNIT, XYXY, dual_basis, mask_mul
 from .algebra import evaluate_bits, left_act, place, right_act, rows
 from .bar import BarChain, BarCochain, Mids, evaluate_on_chain, shift_in
@@ -43,6 +43,7 @@ from .minres import (
     GENERATOR_COUNTS,
     MinCochain,
     MinResElement,
+    clear_diagonal_memo,
     differential_formulas,
     generators,
     homotopy_step_table,
@@ -132,22 +133,19 @@ def _step(bits: int, r: int, m: int) -> int:
     table = _STEP_TABLES[index]
     if table is None:
         table = _STEP_TABLES[index] = homotopy_step_table(r, m)
-    acc = 0
-    while bits:
-        low = bits & -bits
-        acc ^= table[low.bit_length() - 1]
-        bits ^= low
-    return acc
+    return gf2.apply(table, bits)
 
 
 def clear_psi_memo() -> None:
-    """Drop the psi memo, the step tables and the Delta matrices built from them.
+    """Drop the psi memo, the step tables and the Delta matrices built from
+    them, and the diagonal of minres.bracket.
 
     Each is rebuilt from HOMOTOPY_TABLES as it stands at the next use.
     """
     _PSI_MEMO.clear()
     _STEP_TABLES[:] = [None] * len(_STEP_TABLES)
     _DELTA_MATRICES.clear()
+    clear_diagonal_memo()
 
 
 def transport_to_bar(f: MinCochain) -> BarCochain:

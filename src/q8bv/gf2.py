@@ -12,7 +12,7 @@ does not depend on the order in which the rows were inserted.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Pivots = dict[int, tuple[int, int]]
 
@@ -52,6 +52,16 @@ def echelon(rows: Iterable[int]) -> Pivots:
     for w in rows:
         insert(pivots, w)
     return pivots
+
+
+def apply(rows: Sequence[int], w: int) -> int:
+    """The XOR of the rows selected by the set bits of w: w times the matrix whose row i is rows[i]."""
+    image = 0
+    while w:
+        low = w & -w
+        image ^= rows[low.bit_length() - 1]
+        w ^= low
+    return image
 
 
 def rank(rows: Iterable[int]) -> int:

@@ -2,20 +2,23 @@
 
 Classes are cocycles with equality decided modulo coboundaries by exact GF(2)
 linear algebra on the packed int of each representative (MinCochain.bits):
-the cocycle check applies the cached matrix of the cochain differential (one
-per degree mod 4), and class equality and canonical representatives are one
-gf2.reduce against the cached echelon pivots of the coboundaries.  Products
-are the Yoneda product minres.cup of the representatives and brackets the
-homotopy-lifting bracket minres.bracket, both on the minimal resolution
-alone; the degree -1 operator applies compare.delta_matrix, the composite of
-the transport to the bar complex through psi, the bar-level operator and the
-pullback through phi, as one matrix per degree.  bar.cup and bar.bracket stay
-as the oracles the tests compare the product and the bracket against.  Classes
-render as sums of generator monomials by one gf2.reduce against cached
-pivots, whose tags record the chosen monomials each row combines.  The
-published generator catalog and the nonzero Delta entries, whose keys are
-rows of the Delta table, are the only published data here; the relation list
-and the values the suites check against are in q8bv.checks.
+the cocycle check applies the cached matrix of the cochain differential, and
+class equality and canonical representatives are one gf2.reduce against the
+cached echelon pivots of the coboundaries.  Products are the Yoneda product
+minres.cup and brackets the homotopy-lifting bracket minres.bracket of the
+representatives; the degree -1 operator applies compare.delta_matrix, the
+bar-level operator transported through psi and phi, as one matrix per degree.
+Classes render as sums of generator monomials by one gf2.reduce against
+cached pivots, whose tags record the chosen monomials each row combines.
+
+There is no degree cap.  The resolution is 4-periodic and the lift of the
+periodicity class z is the identity on packed cochains (minres.cup(e, z).bits
+== e.bits), so a class of degree n >= 5 has the int of a class of residue
+degree (n - 1) % 4 + 1 times a power of z.  As Delta(z) = 0 and [x, z] = 0,
+cup, bracket and Delta run in residue degrees (delta_matrix of 1..4 only) and
+relabel the result, and every per-degree cache is keyed by residue.  The
+generator catalog and the nonzero Delta entries are the only published data
+here; the values the suites check against are in q8bv.checks.
 """
 from __future__ import annotations
 
@@ -25,25 +28,33 @@ from functools import lru_cache
 
 from . import gf2
 from .algebra import ONE, UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
-from .compare import MAX_DEGREE, clear_psi_memo, delta_matrix, phi
+from .compare import clear_psi_memo, delta_matrix, phi
 from .minres import GENERATOR_COUNTS, MinCochain, bracket, cup, min_cochain_differential
 
 
-def _width(n: int) -> int:
-    """Bit width of a packed degree-n cochain: 8 per generator of P_n."""
-    return 8 * GENERATOR_COUNTS[n % 4]
+def _residue(n: int) -> int:
+    """The degree in 0..4 that degree n reduces to: n up to 4, else (n - 1) % 4 + 1."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    return (n - 1) % 4 + 1 if n > 4 else n
 
 
-def _check_degree(n: int) -> None:
-    if not 0 <= n <= MAX_DEGREE:
-        raise ValueError(f"degree {n} outside supported range 0..{MAX_DEGREE}")
+def _split_z(f: MinCochain) -> tuple[MinCochain, int]:
+    """f as its int in the residue degree and the power of z split off."""
+    r = _residue(f.degree)
+    return (f, 0) if r == f.degree else (MinCochain(r, f.bits), (f.degree - r) // 4)
+
+
+def _times_z(f: MinCochain, k: int) -> "CohomologyClass":
+    """The class of f times z^k: the same int, 4k degrees up."""
+    return CohomologyClass(MinCochain(f.degree + 4 * k, f.bits) if k else f)
 
 
 @lru_cache(maxsize=None)
 def _delta_rows(r: int) -> tuple[int, ...]:
     """The cochain differential from degree r, 0 <= r < 4, as a matrix: row j
     is the packed image of the j-th basis cochain of degree r."""
-    return tuple(min_cochain_differential(MinCochain(r, 1 << j)).bits for j in range(_width(r)))
+    return tuple(min_cochain_differential(MinCochain(r, 1 << j)).bits for j in range(8 * GENERATOR_COUNTS[r]))
 
 
 def _delta_image_vectors(n: int) -> tuple[int, ...]:
@@ -52,27 +63,21 @@ def _delta_image_vectors(n: int) -> tuple[int, ...]:
     return _delta_rows(n % 4)
 
 
-def _apply(rows: tuple[int, ...], bits: int) -> int:
-    """The XOR of the rows selected by the set bits of bits."""
-    image = 0
-    while bits:
-        low = bits & -bits
-        image ^= rows[low.bit_length() - 1]
-        bits ^= low
-    return image
+def coboundaries(n: int) -> gf2.Pivots:
+    """Echelon pivots of the degree-n coboundaries, cached by residue; do not mutate them."""
+    return _coboundary_pivots(_residue(n))
 
 
 @lru_cache(maxsize=None)
-def coboundaries(n: int) -> gf2.Pivots:
-    """Echelon pivots of the degree-n coboundaries; callers must not mutate them."""
-    _check_degree(n)
-    return gf2.echelon(_delta_image_vectors(n - 1)) if n else {}
+def _coboundary_pivots(r: int) -> gf2.Pivots:
+    return gf2.echelon(_delta_image_vectors(r - 1)) if r else {}
 
 
 def hh_dim(n: int) -> int:
-    """Exact dimension of the degree-n cohomology."""
-    _check_degree(n)
-    return _width(n) - gf2.rank(_delta_image_vectors(n)) - len(coboundaries(n))
+    """Exact dimension of the degree-n cohomology, computed in the residue degree:
+    the nullity of the cochain differential less the dimension of the coboundaries."""
+    rows = _delta_image_vectors(_residue(n))
+    return len(rows) - gf2.rank(rows) - len(coboundaries(n))
 
 
 def is_coboundary(f: MinCochain) -> bool:
@@ -87,7 +92,7 @@ class CohomologyClass:
 
     def __post_init__(self) -> None:
         # every class, products included: this check catches a corrupted table
-        if _apply(_delta_image_vectors(self.rep.degree), self.rep.bits):
+        if gf2.apply(_delta_image_vectors(self.rep.degree), self.rep.bits):
             raise ValueError("representative is not a cocycle")
 
     @property
@@ -117,16 +122,20 @@ def canonical_rep(c: CohomologyClass) -> MinCochain:
 
 
 def cup_classes(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """Cup product, as the Yoneda product minres.cup of the representatives."""
-    _check_degree(a.degree + b.degree)
-    return CohomologyClass(cup(a.rep, b.rep))
+    """Cup product, as the Yoneda product minres.cup of the representatives,
+    the first in its residue degree (the lift runs through its degree), times
+    the power of z split off it."""
+    f, i = _split_z(a.rep)
+    return _times_z(cup(f, b.rep), i)
 
 
 def delta_class(a: CohomologyClass) -> CohomologyClass:
-    """The degree -1 operator on a class, by the matrix compare.delta_matrix."""
+    """The degree -1 operator on a class, by compare.delta_matrix of its residue
+    degree: Delta(c z^k) = Delta(c) z^k, since Delta(z) = 0 and [c, z] = 0."""
     if a.degree == 0:
         raise ValueError("degree 0 has no lower degree; the value is the zero class")
-    return CohomologyClass(MinCochain(a.degree - 1, _apply(delta_matrix(a.degree), a.rep.bits)))
+    f, k = _split_z(a.rep)
+    return _times_z(MinCochain(f.degree - 1, gf2.apply(delta_matrix(f.degree), f.bits)), k)
 
 
 def delta_or_zero(a: CohomologyClass) -> CohomologyClass:
@@ -135,12 +144,14 @@ def delta_or_zero(a: CohomologyClass) -> CohomologyClass:
 
 
 def bracket_classes(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """Gerstenhaber bracket, as minres.bracket of the representatives; for two
-    degree-0 classes it is identically zero."""
+    """Gerstenhaber bracket, as minres.bracket of the representatives in their
+    residue degrees, times the powers of z split off both ([c, z] = 0); for
+    two degree-0 classes it is identically zero."""
     if a.degree + b.degree == 0:
         return CohomologyClass.zero(0)
-    _check_degree(a.degree + b.degree - 1)
-    return CohomologyClass(bracket(a.rep, b.rep))
+    f, i = _split_z(a.rep)
+    g, j = _split_z(b.rep)
+    return _times_z(bracket(f, g), i + j)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +206,15 @@ def class_of_monomial(m: Monomial) -> CohomologyClass:
     """Iterated cup product of catalog generators (left fold, memoized).
 
     The empty monomial is the unit class, the constant-1 cocycle in degree 0.
+    Each z after the first only relabels the degree, so the memo keys have at
+    most one z; that one is a cup product, lifted through the tables.
     """
     if not m:
         return CohomologyClass(MinCochain.of(0, (ONE,)))
+    extra = m.count("z") - 1
+    if extra > 0:
+        base = class_of_monomial(tuple(g for g in m if g != "z") + ("z",))
+        return _times_z(base.rep, extra)
     cached = _MONOMIAL_CLASS_MEMO.get(m)
     if cached is None:
         cached = catalog()[m[0]]
@@ -351,13 +368,16 @@ def render_class(c: CohomologyClass) -> str:
     The result is a "+"-joined, sorted list of monomial names, or "0";
     raises if the class is outside the monomial span (cannot happen when the
     presentation relations hold).  The chosen monomials are independent
-    modulo coboundaries, so the combination is unique.
+    modulo coboundaries, so the combination is unique.  Past degree 4 the
+    basis is that of the residue degree with the power of z merged in.
     """
-    monos, _, pivots = _rendering_basis_cached(c.degree)
+    r = _residue(c.degree)
+    monos, _, pivots = _rendering_basis_cached(r)
     remainder, mask = gf2.reduce(pivots, c.rep.bits)
     if remainder:
         raise ValueError("class is not a combination of generator monomials")
-    return "+".join(sorted(monomial_name(m) for i, m in enumerate(monos) if mask >> i & 1)) or "0"
+    z = ("z",) * ((c.degree - r) // 4)
+    return "+".join(sorted(monomial_name(m + z) for i, m in enumerate(monos) if mask >> i & 1)) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -367,17 +387,17 @@ def render_class(c: CohomologyClass) -> str:
 #: the lru-cached functions clear_caches resets, held as defined here so the
 #: reset still reaches their caches when a caller rebinds or wraps the names
 _CACHED_FUNCTIONS = (
-    phi, _delta_rows, coboundaries, catalog, _rendering_basis_cached,
+    phi, _delta_rows, _coboundary_pivots, catalog, _rendering_basis_cached,
 )
 
 
 def clear_caches() -> None:
     """Reset every memo built on the resolution tables, psi included.
 
-    Drops the psi memo, the step tables and the Delta matrices, phi, the
-    cochain differential matrices, the coboundary pivots, the catalog, the
-    memoized monomial classes and the rendering bases; each is rebuilt from
-    the tables as they stand at the next use.
+    Drops the psi memo, the step tables, the Delta matrices and the diagonal,
+    phi, the cochain differential matrices, the coboundary pivots, the
+    catalog, the memoized monomial classes and the rendering bases; each is
+    rebuilt from the tables as they stand at the next use.
     """
     clear_psi_memo()
     for cached in _CACHED_FUNCTIONS:

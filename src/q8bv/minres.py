@@ -388,8 +388,12 @@ _BLOCK = (1 << 64) - 1  # the 64 bits of one slot of P_k
 ColumnRows = list[list[list[tuple[int, int, int]]]]
 
 
+#: the memoized diagonal, entry k on the generators of P_k; degree 0 reads no table
+_DIAGONAL: list[list[list[int]]] = [[[1]]]
+
+
 def _diagonal(top: int) -> list[list[list[int]]]:
-    """The diagonal P -> P (x)_A P on the generators of P_0..P_top.
+    """The diagonal P -> P (x)_A P on the generators of P_0..P_top or more; do not mutate it.
 
     Entry [k][slot][i] is column i of the image of gen_slot of P_k.  The
     diagonal is lifted through the right-linear contracting homotopy
@@ -397,10 +401,11 @@ def _diagonal(top: int) -> list[list[list[int]]]:
     column P_0 (x)_A P_j and iota(y) = (1 (x) 1) (x) y:
     Delta_k(gen) = H(Delta_{k-1}(d gen)) and Delta_0(1 (x) 1) = (1 (x) 1) (x) (1 (x) 1).
     Since t vanishes on every 1 (x) gen (x) 1, (mu (x) 1) Delta = id = (1 (x) mu) Delta.
-    Reads HOMOTOPY_TABLES as it stands at the call.
+    Memoized per degree: each degree is built from HOMOTOPY_TABLES as it
+    stands when first asked for, and clear_diagonal_memo drops them all.
     """
-    diagonal = [[[1]]]
-    for k in range(1, top + 1):
+    diagonal = _DIAGONAL
+    for k in range(len(diagonal), top + 1):
         # the rows of each column of Delta_{k-1}, read once for every term of d_k
         previous = [[list(rows(bits)) for bits in columns] for columns in diagonal[-1]]
         images = []
@@ -412,6 +417,11 @@ def _diagonal(top: int) -> list[list[list[int]]]:
             images.append(columns)
         diagonal.append(images)
     return diagonal
+
+
+def clear_diagonal_memo() -> None:
+    """Drop the diagonal of every degree above 0; the next bracket rebuilds it."""
+    del _DIAGONAL[1:]
 
 
 def _t_tensor_one(terms: tuple[Term, ...], previous: ColumnRows, i: int, c_j: int) -> int:
@@ -491,7 +501,8 @@ def bracket(f: MinCochain, g: MinCochain) -> MinCochain:
 
     psi_f and psi_g are homotopy liftings through the diagonal of P (see
     _homotopy_lift), evaluated on P_{m+n-1}; signs are trivial in
-    characteristic 2.  Reads HOMOTOPY_TABLES as it stands at the call.
+    characteristic 2.  The lifts read HOMOTOPY_TABLES as it stands at the
+    call, the memoized diagonal as it stood when built (see _diagonal).
     """
     m, n = f.degree, g.degree
     top = m + n - 1

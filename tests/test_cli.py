@@ -94,7 +94,8 @@ def test_dims_max_flag(capsys):
 
 
 def test_dims_max_out_of_range():
-    assert cli.main(["dims", "--max", "11"]) == 2
+    assert cli.main(["dims", "--max", "-1"]) == 2
+    assert cli.main(["dims", "--max", "1001"]) == 2
 
 
 def test_verify_reports_failure_exit_code(monkeypatch, capsys):
@@ -108,3 +109,9 @@ def test_verify_reports_failure_exit_code(monkeypatch, capsys):
     code, out = run(capsys, "verify", "homotopy")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_dims_past_the_old_cap_repeat_with_period_4(capsys):
+    code, out = run(capsys, "dims", "--max", "40")
+    assert code == 0
+    assert out.splitlines() == [f"HH^{n}: {(7, 7, 5, 5)[(n - 1) % 4] if n else 5}" for n in range(41)]

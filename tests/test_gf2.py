@@ -111,3 +111,10 @@ def test_remainder_does_not_depend_on_insertion_order(rows, v, rnd):
     first, second = gf2.echelon(rows), gf2.echelon(shuffled)
     assert sorted(first) == sorted(second)
     assert gf2.reduce(first, v)[0] == gf2.reduce(second, v)[0]
+
+
+@given(gf2_rows(), st.data())
+@settings(max_examples=150)
+def test_apply_matches_the_row_by_row_reference(rows, data):
+    v = data.draw(st.integers(0, (1 << len(rows)) - 1))
+    assert gf2.apply(rows, v) == apply(rows, v)

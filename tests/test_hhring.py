@@ -1,8 +1,11 @@
 """Class arithmetic, the generator catalog, relations, and the structure tables."""
 
+import random
+from functools import cache
+
 import pytest
 
-from q8bv import checks, hhring
+from q8bv import checks, compare, gf2, hhring, minres
 from q8bv.algebra import X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
 from q8bv.hhring import (
     CohomologyClass,
@@ -92,8 +95,8 @@ def test_presentation_monomial_counts_match():
 
 
 def test_degree_guard():
-    with pytest.raises(ValueError):
-        hh_dim(9)
+    with pytest.raises(ValueError, match=r"^degree must be >= 0, got -1$"):
+        hh_dim(-1)
 
 
 def test_class_eq_basics():
@@ -180,15 +183,15 @@ def test_cup_of_p1_with_itself_vanishes():
 def test_cup_degree_overflow():
     cat = catalog()
     z2 = cup_classes(cat["z"], cat["z"])
-    with pytest.raises(ValueError, match=r"^degree 9 outside supported range 0\.\.8$"):
-        cup_classes(z2, cat["u1"])
+    u1z2 = cup_classes(z2, cat["u1"])
+    assert u1z2.degree == 9 and render_class(u1z2) == "u1*z^2"
 
 
 def test_bracket_degree_overflow():
     cat = catalog()
     z2 = cup_classes(cat["z"], cat["z"])
-    with pytest.raises(ValueError, match=r"^degree 9 outside supported range 0\.\.8$"):
-        bracket_classes(z2, cat["v1"])
+    value = bracket_classes(z2, cat["v1"])
+    assert value.degree == 9 and value.is_zero() and render_class(value) == "0"
 
 
 def test_cup_graded_commutative_on_all_pairs():
@@ -211,8 +214,8 @@ def test_delta_rejects_degree_zero():
 
 def test_delta_rejects_degree_nine():
     nine = CohomologyClass(MinCochain(9, catalog()["u1"].rep.bits))  # u1 shifted by z^2
-    with pytest.raises(ValueError, match=r"range 1\.\.8"):
-        delta_class(nine)
+    value = delta_class(nine)
+    assert value.degree == 8 and value.is_zero() and render_class(value) == "0"
 
 
 def test_delta_spot_values():
@@ -441,3 +444,86 @@ def test_cocycle_check_caches_one_matrix_per_degree_mod_4():
         width = 8 * len(MinCochain.zero(n).values)
         uncached = tuple(min_cochain_differential(MinCochain(n, 1 << j)).bits for j in range(width))
         assert hhring._delta_image_vectors(n) == uncached, n
+
+
+# ---------------------------------------------------------------------------
+# Residue reduction by z-periodicity, against direct computation past degree 8
+# ---------------------------------------------------------------------------
+
+@cache
+def direct_rep(mono):
+    """The left-fold cup product of the catalog representatives by minres.cup
+    alone, in the monomial's own degree, with no residue reduction."""
+    rep = cochain(0, AlgebraElement.one())
+    for name in mono:
+        rep = minres.cup(rep, catalog()[name].rep)
+    return rep
+
+
+def cohomologous(f, g):
+    return f.degree == g.degree and gf2.reduce(hhring.coboundaries(f.degree), f.bits ^ g.bits)[0] == 0
+
+
+def _direct_pairs(kind, count, seed):
+    """A seeded sample of ordered pairs of rendering-basis monomials of
+    degrees 0..12 whose cup (or bracket) lands in degrees 9..16."""
+    monos = [m for n in range(13) for m in hhring._rendering_basis_cached(n)[0]]
+    shift = 1 if kind == "bracket" else 0
+    pairs = [
+        (a, b) for a in monos for b in monos
+        if 9 <= hhring.monomial_degree(a) + hhring.monomial_degree(b) - shift <= 16
+    ]
+    return random.Random(seed).sample(pairs, count)
+
+
+@pytest.mark.parametrize("kind, nonzero_classes", [("cup", 13), ("bracket", 7)])
+def test_reduced_cup_and_bracket_match_the_direct_products_into_degree_16(kind, nonzero_classes):
+    reduced_op = cup_classes if kind == "cup" else bracket_classes
+    direct_op = minres.cup if kind == "cup" else minres.bracket
+    nonzero = 0
+    for a, b in _direct_pairs(kind, 60, 11):
+        f, g = direct_rep(a), direct_rep(b)
+        reduced = reduced_op(CohomologyClass(f), CohomologyClass(g))
+        assert cohomologous(reduced.rep, direct_op(f, g)), (a, b)
+        nonzero += not reduced.is_zero()
+    assert nonzero == nonzero_classes
+
+
+def test_reduced_delta_matches_the_delta_matrix_of_degrees_5_to_8():
+    count = 0
+    for n in range(5, 9):
+        for mono in hhring._rendering_basis_cached(n)[0]:
+            f = direct_rep(mono)
+            direct = MinCochain(n - 1, gf2.apply(compare.delta_matrix(n), f.bits))
+            assert cohomologous(delta_class(CohomologyClass(f)).rep, direct), mono
+            count += 1
+    assert count == 24
+
+
+def test_residue_rendering_basis_is_the_greedy_basis_built_directly_in_degrees_5_to_16():
+    for n in range(5, 17):
+        pivots = gf2.echelon(hhring._delta_image_vectors(n - 1))
+        chosen = []
+        for mono in sorted(hhring._candidate_monomials(n), key=lambda m: (len(m), m)):
+            if gf2.insert(pivots, direct_rep(mono).bits, 1 << len(chosen))[0]:
+                chosen.append(mono)
+        r, k = (n - 1) % 4 + 1, (n - 1) // 4
+        residue = hhring._rendering_basis_cached(r)[0]
+        assert [m + ("z",) * k for m in residue] == chosen, n
+        for mono in chosen:
+            assert render_class(CohomologyClass(direct_rep(mono))) == hhring.monomial_name(mono)
+
+
+def test_per_degree_caches_stay_bounded_to_degree_40():
+    hhring.clear_caches()
+    for n in range(41):
+        assert hh_dim(n) == (5 if n == 0 else (7, 7, 5, 5)[(n - 1) % 4])
+        for mono in hhring._candidate_monomials(n):
+            cls = class_of_monomial(mono)
+            render_class(cls)
+            if n:
+                render_class(delta_class(cls))
+    for cached in (hhring._delta_rows, hhring._coboundary_pivots, hhring._rendering_basis_cached):
+        assert cached.cache_info().currsize <= 5, cached
+    assert all(m.count("z") <= 1 for m in hhring._MONOMIAL_CLASS_MEMO)
+    assert set(compare._DELTA_MATRICES) <= {1, 2, 3, 4}

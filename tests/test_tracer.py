@@ -20,11 +20,11 @@ import json, sys
 
 sys.path[:0] = sys.argv[1:3]
 from tracer import run_traced
-from q8bv import hhring
+from q8bv import compare, hhring
 
 def op():
     rendered = hhring.render_class(hhring.class_of_monomial(("u1", "v1")))
-    return rendered, [hhring.hh_dim(n) for n in range(hhring.MAX_DEGREE + 1)]
+    return rendered, [hhring.hh_dim(n) for n in range(compare.MAX_DEGREE + 1)]
 
 result, _, stats = run_traced(op)
 print(json.dumps({"result": result, "counts": stats["counts"]}))
