@@ -17,10 +17,10 @@ bar share: place, rows, left_act, right_act and evaluate_bits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import gf2
+from .value import Value
 
 
 BASIS_WORDS: tuple[str, ...] = ("", "x", "y", "xy", "yx", "xyx", "yxy", "xyxy")
@@ -89,15 +89,15 @@ def mask_mul(a: int, b: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Value):
     """GF(2) linear combination of the 8 basis monomials, packed into bits."""
 
-    bits: int = 0
+    __slots__ = _fields = ("bits",)
 
-    def __post_init__(self) -> None:
-        if self.bits < 0 or self.bits >> 8:
+    def __init__(self, bits: int = 0) -> None:
+        if bits < 0 or bits >> 8:
             raise ValueError("coefficient mask out of range")
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def zero(cls) -> "AlgebraElement":

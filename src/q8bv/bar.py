@@ -20,30 +20,30 @@ coefficient mask of its heads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .algebra import MONO_MUL, UNIT, XYXY, AlgebraElement, dual_basis, mask_mul
 from .algebra import evaluate_bits, place, rows
+from .value import Value
 
 Mids = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TermSum:
+class TermSum(Value):
     """GF(2) sum of basis terms of one degree, grouped by interior tuple.
 
     terms maps a tuple of non-unit monomials to the nonzero int that packs
     the coefficients around it; no stored value is zero, so equal sums
-    compare equal.
+    compare equal.  Subclasses add no fields.
     """
 
-    degree: int
-    terms: dict[Mids, int]
+    __slots__ = _fields = ("degree", "terms")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+    def __init__(self, degree: int, terms: dict[Mids, int]) -> None:
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def zero(cls, degree: int):
@@ -99,6 +99,8 @@ class BarChain(TermSum):
     The value at mids packs its outer frames as a one-slot element of the
     packed bimodule layout of algebra: bit 8*left + right.
     """
+
+    __slots__ = ()
 
     @staticmethod
     def _pack(term: tuple[int, Mids, int]) -> tuple[Mids, int]:
@@ -313,6 +315,8 @@ class HochschildChain(TermSum):
 
     The value at mids is the coefficient mask of its heads.
     """
+
+    __slots__ = ()
 
     @staticmethod
     def _pack(term: tuple[int, Mids]) -> tuple[Mids, int]:

@@ -23,13 +23,13 @@ here; the values the suites check against are in q8bv.checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import gf2
 from .algebra import ONE, UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
 from .compare import clear_psi_memo, delta_matrix, phi
 from .minres import GENERATOR_COUNTS, MinCochain, bracket, cup, min_cochain_differential
+from .value import Value
 
 
 def _residue(n: int) -> int:
@@ -84,16 +84,22 @@ def is_coboundary(f: MinCochain) -> bool:
     return gf2.reduce(coboundaries(f.degree), f.bits)[0] == 0
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(Value):
     """A cocycle representative; equality is membership modulo coboundaries."""
 
-    rep: MinCochain
+    __slots__ = _fields = ("rep",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, rep: MinCochain) -> None:
         # every class, products included: this check catches a corrupted table
-        if gf2.apply(_delta_image_vectors(self.rep.degree), self.rep.bits):
+        if gf2.apply(_delta_image_vectors(rep.degree), rep.bits):
             raise ValueError("representative is not a cocycle")
+        object.__setattr__(self, "rep", rep)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CohomologyClass) and self.degree == other.degree and class_eq(self, other)
+
+    def __hash__(self) -> int:
+        return hash((self.degree, canonical_rep(self).bits))
 
     @property
     def degree(self) -> int:
@@ -205,9 +211,9 @@ _MONOMIAL_CLASS_MEMO: dict[Monomial, CohomologyClass] = {}
 def class_of_monomial(m: Monomial) -> CohomologyClass:
     """Iterated cup product of catalog generators (left fold, memoized).
 
-    The empty monomial is the unit class, the constant-1 cocycle in degree 0.
-    Each z after the first only relabels the degree, so the memo keys have at
-    most one z; that one is a cup product, lifted through the tables.
+    The empty monomial is the unit class, the constant-1 cocycle in degree 0;
+    a longer one is its memoized prefix times its last generator, one cup
+    product.  A z past the first only relabels the degree; no memo key has two.
     """
     if not m:
         return CohomologyClass(MinCochain.of(0, (ONE,)))
@@ -217,9 +223,7 @@ def class_of_monomial(m: Monomial) -> CohomologyClass:
         return _times_z(base.rep, extra)
     cached = _MONOMIAL_CLASS_MEMO.get(m)
     if cached is None:
-        cached = catalog()[m[0]]
-        for name in m[1:]:
-            cached = cup_classes(cached, catalog()[name])
+        cached = catalog()[m[0]] if len(m) == 1 else cup_classes(class_of_monomial(m[:-1]), catalog()[m[-1]])
         _MONOMIAL_CLASS_MEMO[m] = cached
     return cached
 

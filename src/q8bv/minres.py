@@ -19,7 +19,6 @@ homotopy.  Neither has a degree cap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -42,6 +41,7 @@ from .algebra import (
     right_act,
     rows,
 )
+from .value import Value
 
 Term = tuple[int, int, int]  # (left monomial, generator slot, right monomial)
 
@@ -55,16 +55,16 @@ def generators(degree: int) -> range:
     return range(GENERATOR_COUNTS[degree % 4])
 
 
-@dataclass(frozen=True)
-class MinResElement:
+class MinResElement(Value):
     """GF(2) sum of basis triples of the free bimodule P_degree, packed into one int."""
 
-    degree: int
-    bits: int
+    __slots__ = _fields = ("degree", "bits")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+    def __init__(self, degree: int, bits: int) -> None:
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def zero(cls, degree: int) -> "MinResElement":
@@ -95,16 +95,14 @@ class MinResElement:
         return self.bits != 0
 
 
-@dataclass(frozen=True)
-class DifferentialFormula:
+class DifferentialFormula(Value):
     """Value of a differential on 1 (x) gen (x) 1, split by left coefficient.
 
     radical_terms have a non-unit left monomial (these drive the comparison
     map recursion); unit_terms have left coefficient 1.
     """
 
-    radical_terms: tuple[Term, ...]
-    unit_terms: tuple[Term, ...]
+    __slots__ = _fields = ("radical_terms", "unit_terms")
 
     @property
     def all_terms(self) -> tuple[Term, ...]:
@@ -293,21 +291,21 @@ def homotopy_step_table(degree: int, m: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinCochain:
+class MinCochain(Value):
     """Bimodule map P_degree -> A, packed into one int.
 
     Bit 8*slot + monomial is the coefficient of that monomial in the value on
     generator slot.
     """
 
-    degree: int
-    bits: int
+    __slots__ = _fields = ("degree", "bits")
 
-    def __post_init__(self) -> None:
-        width = 8 * len(generators(self.degree))
-        if self.bits < 0 or self.bits >> width:
-            raise ValueError(f"bits out of range for the {width // 8} generators of degree {self.degree}")
+    def __init__(self, degree: int, bits: int) -> None:
+        width = 8 * len(generators(degree))
+        if bits < 0 or bits >> width:
+            raise ValueError(f"bits out of range for the {width // 8} generators of degree {degree}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "bits", bits)
 
     @classmethod
     def of(cls, degree: int, values: Sequence[AlgebraElement]) -> "MinCochain":

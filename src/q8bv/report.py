@@ -1,27 +1,22 @@
 """Tiny pass/fail reporting structures shared by the verification suites."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .value import Value
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+class Check(Value):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        super().__init__(name, passed, detail)
 
 
-@dataclass
-class Report:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
+class Report(Value):
+    __slots__ = _fields = ("suite", "checks")  # a str and a list of Check
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def extend(self, other: "Report") -> None:
-        self.checks.extend(other.checks)
 
     def to_dict(self) -> dict:
         return {

@@ -1,6 +1,7 @@
 """The split between the product and the oracle: the product modules know
-nothing of the suites, each suite is its slice of `verify all`, and the
-table script writes the golden tables."""
+nothing of the suites, the table and dims commands never load them, each
+suite is its slice of `verify all`, and the table script writes the golden
+tables."""
 
 import ast
 import json
@@ -16,12 +17,24 @@ from q8bv import checks, cli
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "q8bv"
 GOLDEN = ROOT / "bench" / "golden"
-PRODUCT = ("algebra", "bar", "gf2", "minres", "compare", "hhring")
+PRODUCT = ("algebra", "bar", "gf2", "minres", "compare", "hhring", "value")
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
+
+
+def fresh_interpreter(script):
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def imported_modules(tree):
@@ -75,15 +88,33 @@ def test_the_bracket_table_fills_no_psi_memo():
         "    code = cli.main(['table', 'bracket', '--format', 'json'])\n"
         "print(code, len(compare._PSI_MEMO))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        timeout=300,
+    assert fresh_interpreter(script) == "0 0\n"  # exit code 0, no psi memo entry
+
+
+@pytest.mark.parametrize(
+    "argv", [["table", kind, "--format", "json"] for kind in cli.TABLE_KINDS] + [["dims"]], ids=lambda argv: "-".join(argv[:2])
+)
+def test_table_and_dims_load_neither_the_oracle_nor_dataclasses(argv):
+    script = (
+        "import contextlib, io, sys\n"
+        "from q8bv import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, sorted({'q8bv.checks', 'q8bv.report', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 0\n"  # exit code 0, no psi memo entry
+    assert fresh_interpreter(script) == "0 []\n"
+
+
+def test_importing_the_package_loads_every_timed_layer():
+    """bench/tracer.py reads each layer from sys.modules right after import q8bv."""
+    layers = ["gf2", "bar", "minres", "compare", "hhring"]
+    script = f"import sys, q8bv\nprint([m for m in {layers!r} if 'q8bv.' + m not in sys.modules])\n"
+    assert fresh_interpreter(script) == "[]\n"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in set(imported_modules(ast.parse(path.read_text())))
 
 
 def test_cli_defines_no_suite():

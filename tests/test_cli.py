@@ -38,6 +38,7 @@ def test_verify_bv_suite_passes(capsys):
 def test_verify_unknown_suite_is_usage_error(capsys):
     code = cli.main(["verify", "bogus"])
     assert code == 2
+    assert "algebra, homotopy, comparison, relations, bv, all" in capsys.readouterr().err
 
 
 def test_no_command_is_usage_error():

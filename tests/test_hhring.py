@@ -113,6 +113,16 @@ def test_class_eq_degree_mismatch():
         class_eq(CohomologyClass.zero(1), CohomologyClass.zero(2))
 
 
+def test_equality_is_class_membership_and_the_hash_reads_the_class():
+    u1 = catalog()["u1"]
+    row, _ = next(iter(hhring.coboundaries(1).values()))
+    shifted = CohomologyClass(MinCochain(1, u1.rep.bits ^ row))
+    assert shifted.rep != u1.rep and class_eq(shifted, u1)
+    assert shifted == u1 and hash(shifted) == hash(u1)
+    assert u1 != catalog()["u1p"]
+    assert CohomologyClass.zero(1) != CohomologyClass.zero(2)  # no degree-mismatch error
+
+
 def test_cup_witnesses():
     cat = catalog()
     assert class_eq(cup_classes(cat["u1"], cat["u1"]), klass(2, AlgebraElement.one(), MONO[Y]))
@@ -388,6 +398,20 @@ def test_clear_caches_resets_every_memo_built_on_transport(monkeypatch):
     assert class_of_monomial(mono).rep == warm
     assert class_of_monomial(cube).rep == warm_cube.rep
     assert bracket_classes(cat["p2"], cat["v2"]).rep == warm_bracket.rep
+
+
+def test_monomial_classes_reuse_the_memoized_prefix(monkeypatch):
+    calls = []
+    cup = hhring.cup
+    monkeypatch.setattr(hhring, "cup", lambda f, g: calls.append(1) or cup(f, g))
+    hhring.clear_caches()
+    try:
+        for r in range(5):
+            hhring._rendering_basis_cached(r)
+    finally:
+        monkeypatch.undo()
+        hhring.clear_caches()
+    assert len(calls) == 104  # one cup per memoized monomial of two or more factors
 
 
 def test_clear_caches_reaches_caches_behind_wrapped_names(monkeypatch):

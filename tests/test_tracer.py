@@ -2,11 +2,13 @@
 
 A traced run wraps every public function of the timed layers by name, so a
 refactor that renames or drops them can break ``bench/run.py --trace 1``
-without failing any other test.  The run happens in a fresh interpreter
-because installing the tracer rebinds names in every loaded q8bv module.
+without failing any other test.  The runs happen in fresh interpreters
+because installing the tracer rebinds names in every loaded q8bv module, and
+because the tracer reads each layer from sys.modules after ``import q8bv``.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +46,18 @@ def test_traced_render_and_dims_count_gf2_calls():
     assert rendered == hhring.render_class(hhring.class_of_monomial(("u1", "v1")))
     assert dims == [5, 7, 7, 5, 5, 7, 7, 5, 5]
     assert out["counts"]["gf2.calls"] > 0
+
+
+def test_traced_table_command_loads_every_layer_and_matches_golden_bytes():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "inproc.py"), "--trace", "1", "--",
+         "table", "bracket", "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["rc"] == 0
+    assert out["stdout"].encode() == (ROOT / "bench" / "golden" / "table_bracket.json").read_bytes()
