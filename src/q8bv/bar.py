@@ -12,11 +12,11 @@ and multiply with mask_mul, and only the public call wraps a value in an
 AlgebraElement.  Each circle product and each bracket is one flat cochain
 that loops over every insertion slot.
 
-A chain maps each interior tuple to one nonzero int (TermSum): a bar chain
-stores its outer frames as a one-slot element of the packed bimodule layout
-of algebra, which minres uses for P_n, so both multiply frames through
-algebra.left_act and algebra.right_act; a Hochschild chain stores the
-coefficient mask of its heads.
+A bar chain maps each interior tuple to one nonzero int, its outer frames as
+a one-slot element of the packed bimodule layout of algebra (minres uses it
+for P_n; both multiply frames through algebra.left_act and right_act).  A
+Hochschild chain is the set of its basis terms, each one octal-packed int;
+b and B map a term to a set of terms, and a chain to the XOR of those sets.
 """
 from __future__ import annotations
 
@@ -29,13 +29,24 @@ from .value import Value
 Mids = tuple[int, ...]
 
 
-class TermSum(Value):
-    """GF(2) sum of basis terms of one degree, grouped by interior tuple.
+def _checked_mids(degree: int, term: Any, mids: Iterable[int], *outer: tuple[str, int]) -> Mids:
+    """mids as a tuple, once each named outer entry and mids are checked."""
+    for name, index in outer:
+        if not 0 <= index < 8:
+            raise ValueError(f"{name} {index!r} of {term!r} is not a monomial 0..7")
+    mids = tuple(mids)
+    if len(mids) != degree:
+        raise ValueError(f"term {term!r} does not have degree {degree}")
+    for m in mids:
+        if not 0 < m < 8:
+            raise ValueError(f"interior entry {m!r} of {term!r} is not a non-unit monomial 1..7")
+    return mids
 
-    terms maps a tuple of non-unit monomials to the nonzero int that packs
-    the coefficients around it; no stored value is zero, so equal sums
-    compare equal.  Subclasses add no fields.
-    """
+
+class BarChain(Value):
+    """Chain of the bar resolution, sum of left (x) m1 (x) ... (x) mn (x) right:
+    terms maps each interior tuple to the nonzero int packing its frames, bit
+    8*left + right of a one-slot packed element, so equal sums compare equal."""
 
     __slots__ = _fields = ("degree", "terms")
 
@@ -46,15 +57,13 @@ class TermSum(Value):
         object.__setattr__(self, "terms", terms)
 
     @classmethod
-    def zero(cls, degree: int):
+    def zero(cls, degree: int) -> "BarChain":
         return cls(degree, {})
 
     @classmethod
-    def from_dict(cls, degree: int, terms: dict[Mids, int]):
-        """The sum with value terms[mids] at mids; takes the dict, drops zero values.
-
-        Rejects a key whose length is not the degree.
-        """
+    def from_dict(cls, degree: int, terms: dict[Mids, int]) -> "BarChain":
+        """The sum with value terms[mids] at mids (takes the dict, drops zero values);
+        rejects a key whose length is not the degree."""
         if 0 in terms.values():
             terms = {mids: bits for mids, bits in terms.items() if bits}
         total = cls(degree, terms)
@@ -64,22 +73,16 @@ class TermSum(Value):
         return total
 
     @classmethod
-    def of(cls, degree: int, terms: Iterable[Any]):
-        """Sum of basis terms, each in the form the _pack of the subclass reads."""
+    def of(cls, degree: int, terms: Iterable[tuple[int, Mids, int]]) -> "BarChain":
+        """Sum of basis terms (left, mids, right)."""
         acc: dict[Mids, int] = {}
         for term in terms:
-            mids, bits = cls._pack(term)
-            if len(mids) != degree:
-                raise ValueError(f"term {term!r} does not have degree {degree}")
-            for m in mids:
-                if not 0 < m < 8:
-                    raise ValueError(
-                        f"interior entry {m!r} of {term!r} is not a non-unit monomial 1..7"
-                    )
-            acc[mids] = acc.get(mids, 0) ^ bits
+            left, mids, right = term
+            mids = _checked_mids(degree, term, mids, ("left frame", left), ("right frame", right))
+            acc[mids] = acc.get(mids, 0) ^ place(1 << left, 0, 1 << right)
         return cls.from_dict(degree, acc)
 
-    def __add__(self, other: "TermSum"):
+    def __add__(self, other: "BarChain") -> "BarChain":
         if type(other) is not type(self):
             return NotImplemented
         if self.degree != other.degree:
@@ -91,24 +94,6 @@ class TermSum(Value):
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-
-class BarChain(TermSum):
-    """Chain of the bar resolution, sum of left (x) m1 (x) ... (x) mn (x) right.
-
-    The value at mids packs its outer frames as a one-slot element of the
-    packed bimodule layout of algebra: bit 8*left + right.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _pack(term: tuple[int, Mids, int]) -> tuple[Mids, int]:
-        left, mids, right = term
-        for name, index in (("left frame", left), ("right frame", right)):
-            if not 0 <= index < 8:
-                raise ValueError(f"{name} {index!r} of {term!r} is not a monomial 0..7")
-        return tuple(mids), place(1 << left, 0, 1 << right)
 
 
 def shift_in(chain: BarChain) -> BarChain:
@@ -125,15 +110,6 @@ def shift_in(chain: BarChain) -> BarChain:
     return BarChain(chain.degree + 1, acc)
 
 
-def _inner_faces(acc: dict[Mids, int], mids: Mids, bits: int) -> None:
-    """Add bits at every neighbor product of mids that is neither zero nor the unit."""
-    for i in range(1, len(mids)):
-        prod = MONO_MUL[mids[i - 1]][mids[i]]  # a monomial or zero
-        if prod > 1:
-            key = mids[: i - 1] + (prod.bit_length() - 1,) + mids[i + 1 :]
-            acc[key] = acc.get(key, 0) ^ bits
-
-
 def bar_differential(chain: BarChain) -> BarChain:
     """Sum of neighbor multiplications; degree drops by one."""
     if chain.degree < 1:
@@ -146,7 +122,11 @@ def bar_differential(chain: BarChain) -> BarChain:
             last ^= place(1 << left, 0, mask_mul(1 << mids[-1], rights))  # mn . rights
         acc[mids[1:]] = acc.get(mids[1:], 0) ^ first
         acc[mids[:-1]] = acc.get(mids[:-1], 0) ^ last
-        _inner_faces(acc, mids, frames)
+        for i in range(1, len(mids)):
+            prod = MONO_MUL[mids[i - 1]][mids[i]]  # a monomial or zero, never the unit
+            if prod:
+                key = mids[: i - 1] + (prod.bit_length() - 1,) + mids[i + 1 :]
+                acc[key] = acc.get(key, 0) ^ frames
     return BarChain.from_dict(chain.degree - 1, acc)
 
 
@@ -310,50 +290,109 @@ def bv_delta(f: BarCochain) -> BarCochain:
 # Hochschild chains and the Connes operator
 # ---------------------------------------------------------------------------
 
-class HochschildChain(TermSum):
-    """Normalized Hochschild chain, sum of head (x) m1 (x) ... (x) mn.
+class HochschildChain(Value):
+    """Normalized Hochschild chain, sum of head (x) m1 (x) ... (x) mn, as the
+    set of its basis terms packed by pack; a sum is a symmetric difference."""
 
-    The value at mids is the coefficient mask of its heads.
-    """
+    __slots__ = _fields = ("degree", "terms")
 
-    __slots__ = ()
+    def __init__(self, degree: int, terms: frozenset[int]) -> None:
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", terms)
 
-    @staticmethod
-    def _pack(term: tuple[int, Mids]) -> tuple[Mids, int]:
-        head, mids = term
-        if not 0 <= head < 8:
-            raise ValueError(f"head {head!r} of {term!r} is not a monomial 0..7")
-        return tuple(mids), 1 << head
+    @classmethod
+    def zero(cls, degree: int) -> "HochschildChain":
+        return cls(degree, frozenset())
+
+    @classmethod
+    def of(cls, degree: int, terms: Iterable[tuple[int, Mids]]) -> "HochschildChain":
+        """Sum of basis terms (head, mids); repeated terms cancel."""
+        acc: set[int] = set()
+        for term in terms:
+            head, mids = term
+            acc ^= {pack(head, _checked_mids(degree, term, mids, ("head", head)))}
+        return cls(degree, frozenset(acc))
+
+    def __add__(self, other: "HochschildChain") -> "HochschildChain":
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch")
+        return HochschildChain(self.degree, self.terms ^ other.terms)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+def pack(head: int, mids: Mids) -> int:
+    """The basis term head (x) mids as one int: head at digit 0, mids[k-1] at octal digit k."""
+    return head | sum(m << 3 * k for k, m in enumerate(mids, 1))
+
+
+def unpack(term: int, degree: int) -> tuple[int, Mids]:
+    """The head and the interior tuple of a basis term of the given degree."""
+    return term & 7, tuple(term >> s & 7 for s in range(3, 3 * degree + 3, 3))
+
+
+def basis_terms(degree: int) -> list[int]:
+    """The 8 * 7^degree basis terms of degree: any head digit, non-unit interior digits."""
+    terms = list(range(8))
+    for s in range(3, 3 * degree + 3, 3):
+        terms = [t | m << s for m in range(1, 8) for t in terms]
+    return terms
+
+
+#: _DIGIT_MUL[a | b << 3] is the monomial a*b, 0 when zero (no face multiplies two units)
+_DIGIT_MUL = tuple((MONO_MUL[a][b] >> 1).bit_length() for b in range(8) for a in range(8))
+
+
+def boundary_term(term: int, degree: int) -> set[int]:
+    """b of one basis term of degree >= 1: each face multiplies two neighbor
+    digits of the cycle head, m1, ..., mn, the last the wrap-around mn * head;
+    zero products drop out and coinciding faces cancel."""
+    image: set[int] = set()
+    top = 3 * degree
+    for s in range(0, top, 3):
+        p = _DIGIT_MUL[term >> s & 63]
+        if p:
+            image ^= {(term & (1 << s) - 1) | p << s | (term >> s + 6) << s + 3}
+    p = _DIGIT_MUL[term >> top | (term & 7) << 3]
+    if p:
+        image ^= {(term & (1 << top) - 8) | p}
+    return image
+
+
+def connes_term(term: int, degree: int) -> set[int]:
+    """B of one basis term: every rotation of its digits under a new head UNIT = 0.
+    A rotation puts the old head into an interior slot, so a unit head maps to
+    zero; the rotations of a periodic term coincide and cancel."""
+    image: set[int] = set()
+    if term & 7:
+        width = 3 * degree + 3
+        cycle = (term | term << width) << 3  # the digits twice, above the new head
+        interior = (1 << width + 3) - 8
+        for s in range(0, width, 3):
+            image ^= {cycle >> s & interior}
+    return image
+
+
+def fold(term_image: Callable[[int, int], set[int]], terms: Iterable[int], degree: int) -> set[int]:
+    """The GF(2) sum of term_image(term, degree) over terms of the given degree."""
+    acc: set[int] = set()
+    for term in terms:
+        acc ^= term_image(term, degree)
+    return acc
 
 
 def chain_differential(c: HochschildChain) -> HochschildChain:
     """Neighbor products plus the wrap-around term."""
     if c.degree < 1:
         raise ValueError("chain differential needs degree >= 1")
-    acc: dict[Mids, int] = {}
-    for mids, heads in c.terms.items():
-        front = back = 0
-        for head in _MONOMIALS[heads]:
-            front ^= MONO_MUL[head][mids[0]]
-            back ^= MONO_MUL[mids[-1]][head]
-        acc[mids[1:]] = acc.get(mids[1:], 0) ^ front
-        _inner_faces(acc, mids, heads)
-        acc[mids[:-1]] = acc.get(mids[:-1], 0) ^ back
-    return HochschildChain.from_dict(c.degree - 1, acc)
+    return HochschildChain(c.degree - 1, frozenset(fold(boundary_term, c.terms, c.degree)))
 
 
 def connes_b(c: HochschildChain) -> HochschildChain:
-    """Normalized Connes operator: cyclic rotations with a fresh unit head.
-
-    Every rotation puts the old head into an interior slot, so terms with a
-    unit head vanish and only the first sum of the unnormalized formula
-    survives.
-    """
-    acc: dict[Mids, int] = {}
-    for mids, heads in c.terms.items():
-        for head in _MONOMIALS[heads & 0xFE]:
-            cyc = (head,) + mids
-            for i in range(len(cyc)):
-                key = cyc[i:] + cyc[:i]
-                acc[key] = acc.get(key, 0) ^ (1 << UNIT)
-    return HochschildChain.from_dict(c.degree + 1, acc)
+    """Normalized Connes operator: cyclic rotations with a fresh unit head."""
+    return HochschildChain(c.degree + 1, frozenset(fold(connes_term, c.terms, c.degree)))

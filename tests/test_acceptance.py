@@ -240,8 +240,8 @@ def test_criterion_7_structural_properties():
                 lhs = bilinear_form(df(mids), MONO[head])
                 rhs = 0
                 c = bar.HochschildChain.of(rep.degree - 1, [(head, mids)])
-                for bmids in bar.connes_b(c).terms:
-                    rhs ^= (f(bmids)).coefficient(XYXY)
+                for term in bar.connes_b(c).terms:
+                    rhs ^= (f(bar.unpack(term, rep.degree)[1])).coefficient(XYXY)
                 assert lhs == rhs, (rep, head, mids)
 
     _passed(7, "structural properties")

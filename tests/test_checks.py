@@ -1,7 +1,8 @@
 """The split between the product and the oracle: the product modules know
 nothing of the suites, the table and dims commands never load them, each
 suite is its slice of `verify all`, and the table script writes the golden
-tables."""
+tables.  The Connes chain checks and the periodicity check fail on mutants
+of what they check."""
 
 import ast
 import json
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from q8bv import checks, cli
+from q8bv import bar, checks, cli
+from q8bv.algebra import MONO_MUL, UNIT
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "q8bv"
@@ -154,3 +156,42 @@ def test_emit_tables_writes_the_golden_tables_and_the_dims(tmp_path, capsys):
     code, out = run(capsys, "dims")
     assert code == 0
     assert (tmp_path / "dims.txt").read_text() == out
+
+
+def failing(report):
+    return {check.name for check in report.checks if not check.passed}
+
+
+ANTICOMMUTES = "boundary anticommutes with Connes operator, degrees 0..3"
+
+
+def test_the_chain_checks_fail_when_connes_drops_its_last_rotation(monkeypatch):
+    connes_term = bar.connes_term
+
+    def mutant(term, degree):
+        head, mids = bar.unpack(term, degree)
+        last = {bar.pack(UNIT, mids[-1:] + (head,) + mids[:-1])} if head != UNIT else set()
+        return connes_term(term, degree) ^ last
+
+    monkeypatch.setattr(bar, "connes_term", mutant)
+    assert {ANTICOMMUTES, "Delta is dual to the Connes operator for transported cocycles"} <= failing(
+        checks.suite_bv()
+    )
+
+
+def test_the_anticommutation_check_fails_without_the_wrap_around_face(monkeypatch):
+    boundary_term = bar.boundary_term
+
+    def mutant(term, degree):
+        head, mids = bar.unpack(term, degree)
+        prod = MONO_MUL[mids[-1]][head]  # the wrap-around face mn * head
+        return boundary_term(term, degree) ^ ({bar.pack(prod.bit_length() - 1, mids[:-1])} if prod else set())
+
+    monkeypatch.setattr(bar, "boundary_term", mutant)
+    assert ANTICOMMUTES in failing(checks.suite_bv())
+
+
+def test_the_periodicity_check_reads_the_presentation(monkeypatch):
+    count = checks.presentation_monomial_count
+    monkeypatch.setattr(checks, "presentation_monomial_count", lambda n: count(n) + (n == 6))
+    assert failing(checks.suite_relations()) == {"hh_dim(n+4) = hh_dim(n) for n = 1..3"}

@@ -42,6 +42,6 @@ def test_equality_hash_and_repr_follow_the_fields_in_order():
     assert MinCochain(1, 3) == MinCochain(1, 3) != MinCochain(1, 2)
     assert hash(MinCochain(1, 3)) == hash(MinCochain(1, 3))
     assert MinCochain(1, 3) != MinResElement(1, 3)
-    assert BarChain(1, {}) != HochschildChain(1, {})
+    assert BarChain(1, {}) != HochschildChain(1, frozenset())
     assert repr(MinCochain(1, 3)) == "MinCochain(degree=1, bits=3)"
     assert repr(Check("c", True)) == "Check(name='c', passed=True, detail='')"
