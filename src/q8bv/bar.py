@@ -338,6 +338,8 @@ def unpack(term: int, degree: int) -> tuple[int, Mids]:
 
 def basis_terms(degree: int) -> list[int]:
     """The 8 * 7^degree basis terms of degree: any head digit, non-unit interior digits."""
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     terms = list(range(8))
     for s in range(3, 3 * degree + 3, 3):
         terms = [t | m << s for m in range(1, 8) for t in terms]

@@ -11,7 +11,8 @@ module imports this one.
 from __future__ import annotations
 
 import itertools
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator
 
 from . import algebra, bar, compare, gf2, hhring
 from .algebra import (
@@ -26,6 +27,7 @@ from .algebra import (
     AlgebraElement,
     dual_basis,
     left_act,
+    place,
     right_act,
     rows,
 )
@@ -224,8 +226,12 @@ def phi_reference(n: int) -> tuple[BarChain, ...]:
     raise ValueError("reference values exist for degrees 0..5 only")
 
 
+_UNIT_FRAMES = place(1 << UNIT, 0, 1 << UNIT)
+
+
 def _bar_basis_tensor(mids: Mids) -> BarChain:
-    return BarChain.of(len(mids), [(UNIT, mids, UNIT)])
+    """The bar chain 1 (x) mids (x) 1."""
+    return BarChain(len(mids), {mids: _UNIT_FRAMES})
 
 
 def psi_on_chain(chain: BarChain) -> MinResElement:
@@ -233,9 +239,20 @@ def psi_on_chain(chain: BarChain) -> MinResElement:
     acc = 0
     for mids, frames in chain.terms.items():
         value = compare.psi_bits(mids)
-        for _, left, rights in rows(frames):
-            acc ^= right_act(left_act(1 << left, value), rights)
+        if value:
+            for _, left, rights in rows(frames):
+                acc ^= right_act(left_act(1 << left, value), rights)
     return MinResElement(chain.degree, acc)
+
+
+def _psi_chain_map_fails(n: int, tuples: Iterable[Mids]) -> list[str]:
+    """The tuples of degree n on which d psi and psi b disagree, compared as packed ints."""
+    fails = []
+    for mids in tuples:
+        lhs = min_differential(psi(n, mids)).bits
+        if lhs != psi_on_chain(bar_differential(_bar_basis_tensor(mids))).bits:
+            fails.append(f"degree {n} tuple {mids}")
+    return fails
 
 
 #: value tables of the two degree-1 generators transported to the bar complex
@@ -337,11 +354,7 @@ def suite_comparison() -> Report:
 
     fails = []
     for n in range(1, 4):
-        for mids in itertools.product(range(1, 8), repeat=n):
-            lhs = min_differential(psi(n, mids))
-            rhs = psi_on_chain(bar_differential(_bar_basis_tensor(mids)))
-            if lhs + rhs:
-                fails.append(f"degree {n} tuple {mids}")
+        fails += _psi_chain_map_fails(n, itertools.product(range(1, 8), repeat=n))
     checks.append(_failed("psi chain map, degrees 1..3 exhaustive", fails[:3]))
 
     fails = []
@@ -349,11 +362,7 @@ def suite_comparison() -> Report:
         seen: set[Mids] = set()
         for chain in phi(n):
             seen.update(chain.terms)
-        for mids in sorted(seen):
-            lhs = min_differential(psi(n, mids))
-            rhs = psi_on_chain(bar_differential(_bar_basis_tensor(mids)))
-            if lhs + rhs:
-                fails.append(f"degree {n} tuple {mids}")
+        fails += _psi_chain_map_fails(n, sorted(seen))
     checks.append(_failed("psi chain map, degrees 4..6 on phi-image tuples", fails[:3]))
 
     fails = []
@@ -429,21 +438,41 @@ def relation_name(rel: tuple[Monomial, ...]) -> str:
     return " + ".join(monomial_name(m) for m in rel)
 
 
+def _packed(m: Monomial) -> int:
+    """m as one int, the exponent of GENERATOR_ORDER[i] in bits 8i..8i+7, so
+    that a product of monomials is the sum of their ints.  z, the last
+    generator, owns the unbounded top field; every other exponent of a
+    candidate times a relation term is at most 6, so no field carries."""
+    return sum(1 << 8 * hhring.GENERATOR_ORDER.index(g) for g in m)
+
+
+#: each relation as its degree and its packed terms
+_PACKED_RELATIONS = tuple((hhring.monomial_degree(rel[0]), tuple(map(_packed, rel))) for rel in RELATIONS)
+
+
+@lru_cache(maxsize=None)
+def _packed_candidates(n: int) -> tuple[int, ...]:
+    return tuple(map(_packed, hhring._candidate_monomials(n)))
+
+
 def presentation_monomial_count(n: int) -> int:
     """Dimension of degree n of the presented commutative quotient ring: the
     candidates modulo all relation multiples by candidates, where a product
     outside the candidates lies in the ideal (hhring._candidate_monomials)."""
-    cands = {k: hhring._candidate_monomials(k) for k in range(n + 1)}
-    bit = {m: 1 << i for i, m in enumerate(cands[n])}
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    cands = _packed_candidates(n)
+    bit = {m: 1 << i for i, m in enumerate(cands)}
 
     pivots: gf2.Pivots = {}
-    for rel in RELATIONS:
-        for m in cands.get(n - hhring.monomial_degree(rel[0]), ()):
-            bits = 0
-            for term in rel:
-                bits ^= bit.get(tuple(sorted(term + m, key=hhring.GENERATOR_ORDER.index)), 0)
-            gf2.insert(pivots, bits)
-    return len(cands[n]) - len(pivots)
+    for degree, terms in _PACKED_RELATIONS:
+        if degree <= n:
+            for m in _packed_candidates(n - degree):
+                bits = 0
+                for term in terms:
+                    bits ^= bit.get(term + m, 0)
+                gf2.insert(pivots, bits)
+    return len(cands) - len(pivots)
 
 
 #: published cup products as (name, factors, representative cochain)
@@ -542,6 +571,69 @@ def seven_term_identity(a: str, b: str, c: str) -> bool:
     return hhring.class_eq(lhs, rhs)
 
 
+def _rotation_orbits(r: int) -> Iterator[list[int]]:
+    """The basis terms of degree r, each once, in groups: a unit-head term
+    alone, and the distinct cyclic rotations of the digits of a term with a
+    non-unit head (all its digits are non-unit, so each rotation is a basis
+    term), from the least one."""
+    top = 3 * r
+    for t in bar.basis_terms(r):
+        orbit = [t]
+        if t & 7:
+            u = t >> 3 | (t & 7) << top
+            while u > t:
+                orbit.append(u)
+                u = u >> 3 | (u & 7) << top
+            if u < t:  # t is not the least rotation
+                continue
+        yield orbit
+
+
+def _connes_sweep() -> tuple[list[str], list[str], list[dict[int, set[int]]]]:
+    """B o B = 0 and b o B + B o b = 0 on every basis term of chain degrees
+    0..3, one sweep per degree.
+
+    B(t) is computed once per term.  B o B and b o B are computed once per
+    distinct image within a rotation orbit, memoized by the whole image set,
+    so a B that differs between the rotations of a term is still checked on
+    each image.  B o b reads B of each face from the table of the degree
+    below.  Returns the failing degrees of the two identities and the tables
+    t -> B(t) of degrees 0..2, which the duality check reads.
+    """
+    squares: list[str] = []
+    anticommutes: list[str] = []
+    tables: list[dict[int, set[int]]] = []
+    for r in range(0, 4):
+        below = tables[-1] if r else {}
+        table: dict[int, set[int]] = {}
+        square_fails = anticommute_fails = False
+        for orbit in _rotation_orbits(r):
+            memo: dict[frozenset[int], tuple[bool, set[int]]] = {}
+            for t in orbit:
+                image = bar.connes_term(t, r)
+                if r < 3:
+                    table[t] = image
+                key = frozenset(image)
+                images = memo.get(key)
+                if images is None:  # (B(B(t)) != 0, b(B(t)))
+                    squared = bool(bar.fold(bar.connes_term, image, r + 1))
+                    images = memo[key] = (squared, bar.fold(bar.boundary_term, image, r + 1))
+                square_fails |= images[0]
+                b_then_connes: set[int] = set()  # B(b(t)); b is zero on degree 0
+                if r:
+                    for u in bar.boundary_term(t, r):
+                        # only a faulty b makes a face outside the basis
+                        b_then_connes ^= below[u] if u in below else bar.connes_term(u, r - 1)
+                anticommute_fails |= images[1] != b_then_connes
+        if square_fails:
+            squares.append(f"degree {r}")
+        if anticommute_fails:
+            anticommutes.append(f"degree {r}")
+        if r < 3:
+            tables.append(table)
+    return squares, anticommutes, tables
+
+
 def suite_bv() -> Report:
     delta = hhring.delta_table()
     checks = _table_checks(delta)
@@ -569,22 +661,9 @@ def suite_bv() -> Report:
             fails.append(name)
     checks.append(_failed("z-periodicity of Delta on all generators", fails))
 
-    fails = []
-    for r in range(0, 4):
-        if any(bar.fold(bar.connes_term, bar.connes_term(t, r), r + 1) for t in bar.basis_terms(r)):
-            fails.append(f"degree {r}")
-    checks.append(_failed("Connes operator squares to zero, chain degrees 0..3", fails))
-
-    fails = []
-    for r in range(0, 4):
-        for t in bar.basis_terms(r):
-            lhs = bar.fold(bar.boundary_term, bar.connes_term(t, r), r + 1)
-            if r >= 1:
-                lhs ^= bar.fold(bar.connes_term, bar.boundary_term(t, r), r - 1)
-            if lhs:
-                fails.append(f"degree {r}")
-                break
-    checks.append(_failed("boundary anticommutes with Connes operator, degrees 0..3", fails))
+    squares, anticommutes, connes_images = _connes_sweep()
+    checks.append(_failed("Connes operator squares to zero, chain degrees 0..3", squares))
+    checks.append(_failed("boundary anticommutes with Connes operator, degrees 0..3", anticommutes))
 
     duals = [
         ("u1", cat["u1"].rep), ("u1p", cat["u1p"].rep),
@@ -597,11 +676,11 @@ def suite_bv() -> Report:
         f = compare.transport_to_bar(rep)
         df = bar.bv_delta(f)
         r = rep.degree - 1
-        for t in bar.basis_terms(r):
+        for t, image in connes_images[r].items():
             head, mids = bar.unpack(t, r)
             lhs = algebra.mask_mul(df.mask(mids), 1 << head) >> algebra.XYXY & 1  # <df(mids), head>
             # the parity of <f(mids of u), 1> over the terms u of B(t)
-            rhs = sum(f.mask(bar.unpack(u, r + 1)[1]) >> algebra.XYXY for u in bar.connes_term(t, r)) & 1
+            rhs = sum(f.mask(bar.unpack(u, r + 1)[1]) >> algebra.XYXY for u in image) & 1
             if lhs != rhs:
                 fails.append(name)
                 break

@@ -375,6 +375,11 @@ def test_the_term_basis_has_distinct_terms_that_round_trip(degree):
         assert HochschildChain.of(degree, [unpack(term, degree)]).terms == {term}
 
 
+def test_the_term_basis_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match=r"^degree must be >= 0, got -1$"):
+        bar.basis_terms(-1)
+
+
 def test_bv_delta_rejects_degree_zero():
     with pytest.raises(ValueError):
         bv_delta(constant_cochain(MONO[X]))

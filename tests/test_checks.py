@@ -2,7 +2,7 @@
 nothing of the suites, the table and dims commands never load them, each
 suite is its slice of `verify all`, and the table script writes the golden
 tables.  The Connes chain checks and the periodicity check fail on mutants
-of what they check."""
+of what they check, and one bv suite computes each chain image once."""
 
 import ast
 import json
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from q8bv import bar, checks, cli
-from q8bv.algebra import MONO_MUL, UNIT
+from q8bv.algebra import MONO_MUL, UNIT, X, Y
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "q8bv"
@@ -177,6 +177,63 @@ def test_the_chain_checks_fail_when_connes_drops_its_last_rotation(monkeypatch):
     assert {ANTICOMMUTES, "Delta is dual to the Connes operator for transported cocycles"} <= failing(
         checks.suite_bv()
     )
+
+
+def test_the_square_check_fails_when_connes_leaves_unit_heads_nonzero(monkeypatch):
+    connes_term = bar.connes_term
+
+    def mutant(term, degree):
+        head, mids = bar.unpack(term, degree)
+        if head != UNIT:
+            return connes_term(term, degree)
+        return {bar.pack(UNIT, mids[i:] + (head,) + mids[:i]) for i in range(degree + 1)}
+
+    monkeypatch.setattr(bar, "connes_term", mutant)
+    assert "Connes operator squares to zero, chain degrees 0..3" in failing(checks.suite_bv())
+
+
+def test_the_anticommutation_check_reads_each_image_of_an_orbit(monkeypatch):
+    """A B that is wrong on one rotation of x(x)x(x)x(x)y only, by a term
+    above the least term of the image: a memo keyed by anything less than the
+    whole image (its least term, say) would reuse the image of the first
+    rotation and miss it."""
+    connes_term = bar.connes_term
+    wrong = bar.pack(X, (X, X, Y))
+    extra = bar.pack(UNIT, (Y, Y, Y, Y))
+
+    def mutant(term, degree):
+        return connes_term(term, degree) ^ ({extra} if (term, degree) == (wrong, 3) else set())
+
+    monkeypatch.setattr(bar, "connes_term", mutant)
+    assert extra > min(connes_term(wrong, 3))
+    assert failing(checks.suite_bv()) == {ANTICOMMUTES}
+
+
+def test_one_bv_suite_computes_each_chain_image_once(monkeypatch):
+    """B once per basis term of degrees 0..3 (3,200 terms), B o B and b o B
+    once per distinct B-image, b once per term of degrees 1..3 (3,144 terms)."""
+    calls = dict.fromkeys(("connes_term", "boundary_term"), 0)
+    for name in calls:
+        term_image = getattr(bar, name)
+
+        def counted(term, degree, name=name, term_image=term_image):
+            calls[name] += 1
+            return term_image(term, degree)
+
+        monkeypatch.setattr(bar, name, counted)
+    checks.suite_bv()
+    assert calls == {"connes_term": 5944, "boundary_term": 5936}
+
+
+@pytest.mark.parametrize("degree", range(4))
+def test_the_connes_sweep_visits_every_basis_term_once(degree):
+    visited = [t for orbit in checks._rotation_orbits(degree) for t in orbit]
+    assert sorted(visited) == bar.basis_terms(degree)
+
+
+def test_presentation_count_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match=r"^degree must be >= 0, got -1$"):
+        checks.presentation_monomial_count(-1)
 
 
 def test_the_anticommutation_check_fails_without_the_wrap_around_face(monkeypatch):

@@ -90,7 +90,7 @@ def test_hh_dims():
 
 
 def test_presentation_monomial_counts_match():
-    for n in range(5):
+    for n in range(17):
         assert checks.presentation_monomial_count(n) == hh_dim(n)
 
 
