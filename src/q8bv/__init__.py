@@ -4,12 +4,12 @@ Hochschild cohomology of the 8-dimensional quaternion quiver algebra.
 The package builds the algebra and its multiplication oracle (algebra), the
 normalized bar complex with cup, circle products, bracket, boundary, Connes
 operator and the degree -1 operator (bar), the period-4 minimal bimodule
-resolution with its weak self-homotopy, the Yoneda product, which is the cup
-product, and the Gerstenhaber bracket by homotopy lifting (minres),
-comparison morphisms in both directions (compare), and cohomology classes
-with exact class arithmetic in every degree by z-periodicity (hhring).  Apart
-from that product stand the verification suites with every value they check
-against (checks) and the command line (cli).
+resolution with its weak self-homotopy and one diagonal P -> P (x)_A P that
+gives both the cup product and the Gerstenhaber bracket by homotopy lifting
+(minres), comparison morphisms in both directions (compare), and cohomology
+classes with exact class arithmetic in every degree by z-periodicity
+(hhring).  Apart from that product stand the verification suites with every
+value they check against (checks) and the command line (cli).
 """
 
 from .algebra import AlgebraElement, GroupAlgebraOracle, bilinear_form, dual_basis

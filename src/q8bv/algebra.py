@@ -146,7 +146,6 @@ class AlgebraElement(Value):
         return "+".join(BASIS_NAMES[i] for i in self.monomials())
 
 
-ZERO = AlgebraElement.zero()
 ONE = AlgebraElement.one()
 
 

@@ -1,10 +1,10 @@
 """Comparison morphisms between the minimal resolution and the bar resolution.
 
-phi : P_* -> Bar_*  is built from the radical-split differential formulas and
-the bar-side contracting homotopy (prepend a fresh unit); psi : Bar_* -> P_*
-is built from the weak self-homotopy t_*.  Both satisfy the chain-map
-identities by construction; the comparison suite of q8bv.checks re-checks
-them on explicit arguments to guard the stored tables.
+phi : P_* -> Bar_*  is built from the differential formulas and the bar-side
+contracting homotopy (prepend a fresh unit); psi : Bar_* -> P_* is built
+from the weak self-homotopy t_*.  Both satisfy the chain-map identities by
+construction; the comparison suite of q8bv.checks re-checks them on
+explicit arguments to guard the stored tables.
 
 psi is memoized per interior tuple as a packed P_n value (an int in the
 packed bimodule layout of algebra).  A miss extends the longest memoized
@@ -59,10 +59,9 @@ def phi(n: int) -> tuple[BarChain, ...]:
         raise ValueError(f"degree {n} outside supported range 0..{MAX_DEGREE}")
     if n == 0:
         return (BarChain.of(0, [(UNIT, (), UNIT)]),)
-    # phi = s o phi o d on generators, and s kills the images of unit-left terms of d
+    # phi = s o phi o d on generators; s kills the images of the unit-left terms of d
     chains = tuple(
-        shift_in(phi_on_element(MinResElement.of(n - 1, formula.radical_terms)))
-        for formula in differential_formulas(n)
+        shift_in(phi_on_element(MinResElement.of(n - 1, terms))) for terms in differential_formulas(n)
     )
     # psi on every prefix, and through _psi_fill on its tails: the values that
     # transport_to_min and _build_delta_matrix read
@@ -138,7 +137,7 @@ def _step(bits: int, r: int, m: int) -> int:
 
 def clear_psi_memo() -> None:
     """Drop the psi memo, the step tables and the Delta matrices built from
-    them, and the diagonal of minres.bracket.
+    them, and the diagonal that minres.cup and minres.bracket read.
 
     Each is rebuilt from HOMOTOPY_TABLES as it stands at the next use.
     """

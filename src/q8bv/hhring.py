@@ -4,21 +4,22 @@ Classes are cocycles with equality decided modulo coboundaries by exact GF(2)
 linear algebra on the packed int of each representative (MinCochain.bits):
 the cocycle check applies the cached matrix of the cochain differential, and
 class equality and canonical representatives are one gf2.reduce against the
-cached echelon pivots of the coboundaries.  Products are the Yoneda product
-minres.cup and brackets the homotopy-lifting bracket minres.bracket of the
-representatives; the degree -1 operator applies compare.delta_matrix, the
+cached echelon pivots of the coboundaries.  Products are minres.cup and
+brackets minres.bracket of the representatives, both read off the diagonal
+of the resolution; the degree -1 operator applies compare.delta_matrix, the
 bar-level operator transported through psi and phi, as one matrix per degree.
 Classes render as sums of generator monomials by one gf2.reduce against
 cached pivots, whose tags record the chosen monomials each row combines.
 
-There is no degree cap.  The resolution is 4-periodic and the lift of the
-periodicity class z is the identity on packed cochains (minres.cup(e, z).bits
-== e.bits), so a class of degree n >= 5 has the int of a class of residue
-degree (n - 1) % 4 + 1 times a power of z.  As Delta(z) = 0 and [x, z] = 0,
-cup, bracket and Delta run in residue degrees (delta_matrix of 1..4 only) and
-relabel the result, and every per-degree cache is keyed by residue.  The
-generator catalog and the nonzero Delta entries are the only published data
-here; the values the suites check against are in q8bv.checks.
+There is no degree cap.  The resolution is 4-periodic and the cup with the
+periodicity class z keeps the packed int (minres.cup(e, z).bits == e.bits),
+so a class of degree n >= 5 has the int of a class of residue degree
+(n - 1) % 4 + 1 times a power of z.  As Delta(z) = 0 and [x, z] = 0, cup,
+bracket and Delta run in residue degrees (the diagonal up to degree 8,
+delta_matrix of 1..4 only) and relabel the result, and every per-degree
+cache is keyed by residue.  The generator catalog and the nonzero Delta
+entries are the only published data here; the values the suites check
+against are in q8bv.checks.
 """
 from __future__ import annotations
 
@@ -128,11 +129,12 @@ def canonical_rep(c: CohomologyClass) -> MinCochain:
 
 
 def cup_classes(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """Cup product, as the Yoneda product minres.cup of the representatives,
-    the first in its residue degree (the lift runs through its degree), times
-    the power of z split off it."""
+    """Cup product, as minres.cup of the representatives in their residue
+    degrees, times the powers of z split off both; the diagonal it reads
+    then stops at degree 8."""
     f, i = _split_z(a.rep)
-    return _times_z(cup(f, b.rep), i)
+    g, j = _split_z(b.rep)
+    return _times_z(cup(f, g), i + j)
 
 
 def delta_class(a: CohomologyClass) -> CohomologyClass:

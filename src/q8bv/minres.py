@@ -12,10 +12,10 @@ An element of P_n is one int in the packed free-bimodule layout of
 algebra, which the bar chains also use for their outer frames.
 
 Cochains on P are packed ints too, and the product structure is computed on
-them without the bar complex: cup is the Yoneda product, lifting one factor
-through the weak self-homotopy, and bracket is the Gerstenhaber bracket by
-homotopy lifting through a diagonal P -> P (x)_A P built with the same
-homotopy.  Neither has a degree cap.
+them without the bar complex, through one diagonal P -> P (x)_A P built with
+the weak self-homotopy: cup is g o (f (x) 1) o Delta_P, and bracket is the
+Gerstenhaber bracket by homotopy lifting through the same diagonal.  Neither
+has a degree cap.
 """
 from __future__ import annotations
 
@@ -95,60 +95,30 @@ class MinResElement(Value):
         return self.bits != 0
 
 
-class DifferentialFormula(Value):
-    """Value of a differential on 1 (x) gen (x) 1, split by left coefficient.
-
-    radical_terms have a non-unit left monomial (these drive the comparison
-    map recursion); unit_terms have left coefficient 1.
-    """
-
-    __slots__ = _fields = ("radical_terms", "unit_terms")
-
-    @property
-    def all_terms(self) -> tuple[Term, ...]:
-        return self.radical_terms + self.unit_terms
-
-
 # d1(1(x)x(x)1) = x(x)1 + 1(x)x, same shape for y
 _D1 = (
-    DifferentialFormula(((X, 0, UNIT),), ((UNIT, 0, X),)),
-    DifferentialFormula(((Y, 0, UNIT),), ((UNIT, 0, Y),)),
+    ((X, 0, UNIT), (UNIT, 0, X)),
+    ((Y, 0, UNIT), (UNIT, 0, Y)),
 )
 
 # d2(1(x)rx(x)1) = 1(x)x(x)x + x(x)x(x)1 + 1(x)y(x)xy + y(x)x(x)y + yx(x)y(x)1
 # d2(1(x)ry(x)1) = 1(x)y(x)y + y(x)y(x)1 + 1(x)x(x)yx + x(x)y(x)x + xy(x)x(x)1
 _D2 = (
-    DifferentialFormula(
-        ((X, 0, UNIT), (Y, 0, Y), (YX, 1, UNIT)),
-        ((UNIT, 0, X), (UNIT, 1, XY)),
-    ),
-    DifferentialFormula(
-        ((Y, 1, UNIT), (X, 1, X), (XY, 0, UNIT)),
-        ((UNIT, 1, Y), (UNIT, 0, YX)),
-    ),
+    ((X, 0, UNIT), (Y, 0, Y), (YX, 1, UNIT), (UNIT, 0, X), (UNIT, 1, XY)),
+    ((Y, 1, UNIT), (X, 1, X), (XY, 0, UNIT), (UNIT, 1, Y), (UNIT, 0, YX)),
 )
 
 # d3(1(x)1) = x(x)rx(x)1 + 1(x)rx(x)x + y(x)ry(x)1 + 1(x)ry(x)y
-_D3 = (
-    DifferentialFormula(
-        ((X, 0, UNIT), (Y, 1, UNIT)),
-        ((UNIT, 0, X), (UNIT, 1, Y)),
-    ),
-)
+_D3 = (((X, 0, UNIT), (Y, 1, UNIT), (UNIT, 0, X), (UNIT, 1, Y)),)
 
 # d4 = rho o d0: d4(1(x)1) = sum_b b* (x) b
-_D4 = (
-    DifferentialFormula(
-        tuple((dual_basis(b), 0, b) for b in range(8) if dual_basis(b) != UNIT),
-        ((UNIT, 0, XYXY),),
-    ),
-)
+_D4 = (tuple((dual_basis(b), 0, b) for b in range(8)),)
 
-#: formulas for d_n indexed by ((n - 1) mod 4): d1, d2, d3, d4
-DIFFERENTIALS: tuple[tuple[DifferentialFormula, ...], ...] = (_D1, _D2, _D3, _D4)
+#: the terms of d_n on each generator, indexed by ((n - 1) mod 4): d1, d2, d3, d4
+DIFFERENTIALS: tuple[tuple[tuple[Term, ...], ...], ...] = (_D1, _D2, _D3, _D4)
 
 
-def differential_formulas(degree: int) -> tuple[DifferentialFormula, ...]:
+def differential_formulas(degree: int) -> tuple[tuple[Term, ...], ...]:
     if degree < 1:
         raise ValueError("differential starts at degree 1")
     return DIFFERENTIALS[(degree - 1) % 4]
@@ -159,7 +129,7 @@ def min_differential(e: MinResElement) -> MinResElement:
     formulas = differential_formulas(e.degree)
     acc = 0
     for slot, left, rights in rows(e.bits):
-        for a, s2, b in formulas[slot].all_terms:
+        for a, s2, b in formulas[slot]:
             acc ^= place(MONO_MUL[left][a], s2, mask_mul(1 << b, rights))
     return MinResElement(e.degree - 1, acc)
 
@@ -344,32 +314,8 @@ def evaluate_min(f: MinCochain, e: MinResElement) -> AlgebraElement:
     return AlgebraElement(evaluate_bits([v.bits for v in f.values], e.bits))
 
 
-def cup(f: MinCochain, g: MinCochain) -> MinCochain:
-    """Yoneda product f o g_m of cochains of degrees m and n, on packed ints.
-
-    g lifts to a chain map g_k : P_{n+k} -> P_k through the weak
-    self-homotopy: g_0(gen) = 1 (x) g(gen) and g_k(gen) = t_{k-1}(g_{k-1}(d
-    gen)), with g_{k-1} extended bimodule-linearly over the differential
-    formulas.  In characteristic 2 this is the cup product on cohomology.
-    Reads HOMOTOPY_TABLES as it stands at the call.
-    """
-    m, n = f.degree, g.degree
-    lift = [place(1 << UNIT, 0, value.bits) for value in g.values]
-    for k in range(1, m + 1):
-        table = HOMOTOPY_TABLES[(k - 1) % 4]
-        images = []
-        for formula in differential_formulas(n + k):
-            bits = 0
-            for a, slot, b in formula.all_terms:
-                bits ^= left_act(1 << a, right_act(lift[slot], 1 << b))
-            images.append(_apply_homotopy(table, bits))
-        lift = images
-    values = [v.bits for v in f.values]
-    return MinCochain(m + n, sum(evaluate_bits(values, e) << 8 * s for s, e in enumerate(lift)))
-
-
 # ---------------------------------------------------------------------------
-# The Gerstenhaber bracket by homotopy lifting
+# The cup product and the Gerstenhaber bracket through one diagonal
 #
 # An element of P_i (x)_A P_j is one int: the basis tensor
 # left (x) gen_s (x) mid (x) gen_u (x) right is bit
@@ -407,8 +353,7 @@ def _diagonal(top: int) -> list[list[list[int]]]:
         # the rows of each column of Delta_{k-1}, read once for every term of d_k
         previous = [[list(rows(bits)) for bits in columns] for columns in diagonal[-1]]
         images = []
-        for formula in differential_formulas(k):
-            terms = formula.all_terms
+        for terms in differential_formulas(k):
             columns = [_iota_t_p(terms, previous, k)]
             for i in range(k):
                 columns.append(_t_tensor_one(terms, previous, i, GENERATOR_COUNTS[(k - 1 - i) % 4]))
@@ -418,7 +363,7 @@ def _diagonal(top: int) -> list[list[list[int]]]:
 
 
 def clear_diagonal_memo() -> None:
-    """Drop the diagonal of every degree above 0; the next bracket rebuilds it."""
+    """Drop the diagonal of every degree above 0; the next product rebuilds it."""
     del _DIAGONAL[1:]
 
 
@@ -459,6 +404,32 @@ def _iota_t_p(terms: tuple[Term, ...], previous: ColumnRows, k: int) -> int:
     return sum((image >> (u << 6) & _BLOCK) << (u << 9) for u in generators(k))
 
 
+def _f_tensor_one(values: list[int], column: int, c_j: int) -> int:
+    """(f (x) 1) on a column P_n (x)_A P_j, for f of degree n with the given
+    generator values: left f(gen_s) mid (x) gen_u (x) right, in P_j."""
+    acc = 0
+    for pair_left, mid, rights in rows(column):
+        s, u = divmod(pair_left >> 3, c_j)
+        acc ^= place(mask_mul(mask_mul(1 << (pair_left & 7), values[s]), 1 << mid), u, rights)
+    return acc
+
+
+def cup(f: MinCochain, g: MinCochain) -> MinCochain:
+    """Cup product g o (f (x) 1) o Delta_P of cochains of degrees m and n, on
+    packed ints: on each generator of P_{m+n}, g evaluated on (f (x) 1) of
+    the column P_m (x)_A P_n of the diagonal (see _diagonal).  Reads the
+    memoized diagonal as it stood when built.
+    """
+    m, n = f.degree, g.degree
+    f_values = [v.bits for v in f.values]
+    g_values = [v.bits for v in g.values]
+    c_n = GENERATOR_COUNTS[n % 4]
+    bits = 0
+    for s, columns in enumerate(_diagonal(m + n)[m + n]):
+        bits ^= evaluate_bits(g_values, _f_tensor_one(f_values, columns[m], c_n)) << 8 * s
+    return MinCochain(m + n, bits)
+
+
 def _homotopy_lift(f: MinCochain, diagonal: list[list[list[int]]], top: int) -> list[int]:
     """A homotopy lifting psi_f : P_k -> P_{k-n+1} of f of degree n, on the
     generators of P_top.
@@ -478,12 +449,9 @@ def _homotopy_lift(f: MinCochain, diagonal: list[list[list[int]]], top: int) -> 
         for slot, columns in enumerate(diagonal[k]):
             acc = 0
             if lift:  # psi_f(d gen)
-                for a, s, b in differential_formulas(k)[slot].all_terms:
+                for a, s, b in differential_formulas(k)[slot]:
                     acc ^= left_act(1 << a, right_act(lift[s], 1 << b))
-            # (f (x) 1) on the column P_n (x)_A P_{k-n}: left f(gen_s) mid (x) gen_u (x) right
-            for pair_left, mid, rights in rows(columns[n]):
-                s, u = divmod(pair_left >> 3, c_j)
-                acc ^= place(mask_mul(mask_mul(1 << (pair_left & 7), values[s]), 1 << mid), u, rights)
+            acc ^= _f_tensor_one(values, columns[n], c_j)
             # (1 (x) f) on the column P_{k-n} (x)_A P_n: left (x) gen_s (x) mid f(gen_u) right
             for pair_left, mid, rights in rows(columns[k - n]):
                 s, u = divmod(pair_left >> 3, c_n)

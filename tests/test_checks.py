@@ -59,8 +59,8 @@ def test_product_module_has_no_oracle_code(module):
 
 @pytest.mark.parametrize("module", [m for m in PRODUCT if m != "bar"] + ["cli"])
 def test_only_the_oracle_takes_the_bar_cup(module):
-    """Products are Yoneda products and brackets are homotopy liftings on the
-    minimal resolution; bar.cup and bar.bracket are the oracles the tests
+    """Cups and brackets are computed on the minimal resolution through one
+    diagonal P -> P (x)_A P; bar.cup and bar.bracket are the oracles the tests
     compare them against."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     imports = [

@@ -390,7 +390,8 @@ def test_clear_caches_resets_every_memo_built_on_transport(monkeypatch):
         assert not class_eq(bracket_classes(cat["p2"], cat["v2"]), warm_bracket)
         hhring.clear_caches()
         assert class_of_monomial(mono).rep != warm
-        # the cup lifts through the homotopy tables as they stand: the class moves
+        # the cup reads the diagonal as it stood when built, and clear_caches
+        # reset it: the class moves
         assert not class_eq(class_of_monomial(cube), warm_cube)
     finally:
         monkeypatch.undo()
@@ -540,6 +541,7 @@ def test_residue_rendering_basis_is_the_greedy_basis_built_directly_in_degrees_5
 
 def test_per_degree_caches_stay_bounded_to_degree_40():
     hhring.clear_caches()
+    u1 = catalog()["u1"]
     for n in range(41):
         assert hh_dim(n) == (5 if n == 0 else (7, 7, 5, 5)[(n - 1) % 4])
         for mono in hhring._candidate_monomials(n):
@@ -547,6 +549,10 @@ def test_per_degree_caches_stay_bounded_to_degree_40():
             render_class(cls)
             if n:
                 render_class(delta_class(cls))
+            cup_classes(u1, cls)
+            bracket_classes(u1, cls)
+    # both products read the diagonal in residue degrees only: degrees 0..8
+    assert len(minres._DIAGONAL) <= 9
     for cached in (hhring._delta_rows, hhring._coboundary_pivots, hhring._rendering_basis_cached):
         assert cached.cache_info().currsize <= 5, cached
     assert all(m.count("z") <= 1 for m in hhring._MONOMIAL_CLASS_MEMO)

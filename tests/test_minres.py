@@ -304,8 +304,7 @@ def test_bracket_past_the_cap_follows_the_poisson_rule_with_the_periodicity_clas
 
 def test_the_lift_of_z_is_the_identity_on_every_basis_cochain_of_degrees_0_to_4():
     """cup(e, z) has the int of e, 4 degrees up: the identity hhring's residue
-    reduction rests on (t vanishes on 1 (x) gen (x) 1, so the lift of z is the
-    identity P_{k+4} -> P_k)."""
+    reduction rests on."""
     z = hhring.catalog()["z"].rep
     count = 0
     for n in range(5):

@@ -6,13 +6,12 @@ import pytest
 from q8bv import hhring
 from q8bv.algebra import AlgebraElement
 from q8bv.bar import BarChain, HochschildChain
-from q8bv.minres import MinCochain, MinResElement, differential_formulas
+from q8bv.minres import MinCochain, MinResElement
 from q8bv.report import Check, Report
 
 VALUES = [
     AlgebraElement(5),
     MinResElement(1, 3),
-    differential_formulas(1)[0],
     MinCochain(1, 3),
     hhring.catalog()["u1"],
     BarChain.of(1, [(0, (1,), 0)]),
