@@ -1,20 +1,20 @@
 """Exact GF(2) computation of the Gerstenhaber bracket and BV operator on the
 Hochschild cohomology of the 8-dimensional quaternion quiver algebra.
 
-The package builds the algebra and its multiplication oracle (algebra), the
-normalized bar complex with cup, circle products, bracket, boundary, Connes
-operator and the degree -1 operator (bar), the period-4 minimal bimodule
-resolution with its weak self-homotopy and one diagonal P -> P (x)_A P that
-gives both the cup product and the Gerstenhaber bracket by homotopy lifting
-(minres), comparison morphisms in both directions (compare), and cohomology
-classes with exact class arithmetic in every degree by z-periodicity
-(hhring).  Apart from that product stand the verification suites with every
-value they check against (checks) and the command line (cli).
+The product builds the algebra and its multiplication oracle (algebra), the
+period-4 minimal bimodule resolution with its weak self-homotopy and one
+diagonal P -> P (x)_A P that gives both the cup product and the Gerstenhaber
+bracket by homotopy lifting (minres), the comparison morphisms phi and psi
+to the normalized bar resolution (compare), and cohomology classes with
+exact class arithmetic in every degree by z-periodicity (hhring).  Apart
+stand the oracles: the bar complex with its cochain operations and the
+transports along phi and psi (bar), the verification suites (checks), and
+the command line (cli), which loads the suites for verify alone.
 """
 
 from .algebra import AlgebraElement, GroupAlgebraOracle, bilinear_form, dual_basis
-from .bar import BarChain, BarCochain, HochschildChain
-from .compare import phi, psi, transport_to_bar, transport_to_min
+from .bar import BarCochain, transport_to_bar, transport_to_min
+from .compare import BarChain, phi, psi
 from .gf2 import rank
 from .hhring import (
     CohomologyClass,
@@ -35,7 +35,6 @@ __all__ = [
     "BarCochain",
     "CohomologyClass",
     "GroupAlgebraOracle",
-    "HochschildChain",
     "MinCochain",
     "MinResElement",
     "bilinear_form",

@@ -159,11 +159,6 @@ def dual_basis(m: int) -> int:
     return DUAL_BASIS[m]
 
 
-def socle_pairing_with_one(a: AlgebraElement) -> int:
-    """<a, 1>, i.e. the xyxy coefficient of a."""
-    return a.coefficient(XYXY)
-
-
 def bimodule_derivation(m: int) -> tuple[tuple[int, int, int], ...]:
     """Split the word of a basis monomial at every letter position.
 

@@ -1,4 +1,10 @@
-"""Normalized bar resolution of A, Hochschild cochains and chains.
+"""Normalized bar complex of A, the oracle the product is checked against.
+
+No product module imports this one; the suites of q8bv.checks and the tests
+do.  It holds the bar differential, the Hochschild cochains with cup, circle
+products, bracket and the degree -1 operator, the transports between minimal
+and bar cochains through compare.phi and compare.psi, and the Connes
+operator and boundary on Hochschild chains.
 
 Conventions, enforced centrally:
   * interior tensor slots hold non-unit basis monomials only; any operation
@@ -12,102 +18,18 @@ and multiply with mask_mul, and only the public call wraps a value in an
 AlgebraElement.  Each circle product and each bracket is one flat cochain
 that loops over every insertion slot.
 
-A bar chain maps each interior tuple to one nonzero int, its outer frames as
-a one-slot element of the packed bimodule layout of algebra (minres uses it
-for P_n; both multiply frames through algebra.left_act and right_act).  A
-Hochschild chain is the set of its basis terms, each one octal-packed int;
-b and B map a term to a set of terms, and a chain to the XOR of those sets.
+Bar chains are compare.BarChain, the values of phi.  A basis term of a
+Hochschild chain is one octal-packed int (pack); b and B map a term to a set
+of terms, and fold sums such an image over a set of terms.
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Callable, Iterable
 
 from .algebra import MONO_MUL, UNIT, XYXY, AlgebraElement, dual_basis, mask_mul
 from .algebra import evaluate_bits, place, rows
-from .value import Value
-
-Mids = tuple[int, ...]
-
-
-def _checked_mids(degree: int, term: Any, mids: Iterable[int], *outer: tuple[str, int]) -> Mids:
-    """mids as a tuple, once each named outer entry and mids are checked."""
-    for name, index in outer:
-        if not 0 <= index < 8:
-            raise ValueError(f"{name} {index!r} of {term!r} is not a monomial 0..7")
-    mids = tuple(mids)
-    if len(mids) != degree:
-        raise ValueError(f"term {term!r} does not have degree {degree}")
-    for m in mids:
-        if not 0 < m < 8:
-            raise ValueError(f"interior entry {m!r} of {term!r} is not a non-unit monomial 1..7")
-    return mids
-
-
-class BarChain(Value):
-    """Chain of the bar resolution, sum of left (x) m1 (x) ... (x) mn (x) right:
-    terms maps each interior tuple to the nonzero int packing its frames, bit
-    8*left + right of a one-slot packed element, so equal sums compare equal."""
-
-    __slots__ = _fields = ("degree", "terms")
-
-    def __init__(self, degree: int, terms: dict[Mids, int]) -> None:
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", terms)
-
-    @classmethod
-    def zero(cls, degree: int) -> "BarChain":
-        return cls(degree, {})
-
-    @classmethod
-    def from_dict(cls, degree: int, terms: dict[Mids, int]) -> "BarChain":
-        """The sum with value terms[mids] at mids (takes the dict, drops zero values);
-        rejects a key whose length is not the degree."""
-        if 0 in terms.values():
-            terms = {mids: bits for mids, bits in terms.items() if bits}
-        total = cls(degree, terms)
-        for mids in terms:
-            if len(mids) != degree:
-                raise ValueError(f"key {mids!r} does not have length {degree}")
-        return total
-
-    @classmethod
-    def of(cls, degree: int, terms: Iterable[tuple[int, Mids, int]]) -> "BarChain":
-        """Sum of basis terms (left, mids, right)."""
-        acc: dict[Mids, int] = {}
-        for term in terms:
-            left, mids, right = term
-            mids = _checked_mids(degree, term, mids, ("left frame", left), ("right frame", right))
-            acc[mids] = acc.get(mids, 0) ^ place(1 << left, 0, 1 << right)
-        return cls.from_dict(degree, acc)
-
-    def __add__(self, other: "BarChain") -> "BarChain":
-        if type(other) is not type(self):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        acc = dict(self.terms)
-        for mids, bits in other.terms.items():
-            acc[mids] = acc.get(mids, 0) ^ bits
-        return self.from_dict(self.degree, acc)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-
-def shift_in(chain: BarChain) -> BarChain:
-    """Contracting homotopy of the normalized bar resolution.
-
-    Sends a0 (x) m (x) right to 1 (x) a0 (x) m (x) right; a0 entering an
-    interior slot kills the term when it is the unit.
-    """
-    acc: dict[Mids, int] = {}
-    for mids, frames in chain.terms.items():
-        for _, left, rights in rows(frames):
-            if left != UNIT:
-                acc[(left,) + mids] = place(1 << UNIT, 0, rights)
-    return BarChain(chain.degree + 1, acc)
+from .compare import BarChain, Mids, phi, psi_bits
+from .minres import MinCochain, generators
 
 
 def bar_differential(chain: BarChain) -> BarChain:
@@ -287,43 +209,28 @@ def bv_delta(f: BarCochain) -> BarCochain:
 
 
 # ---------------------------------------------------------------------------
-# Hochschild chains and the Connes operator
+# Transport between minimal and bar cochains
 # ---------------------------------------------------------------------------
 
-class HochschildChain(Value):
-    """Normalized Hochschild chain, sum of head (x) m1 (x) ... (x) mn, as the
-    set of its basis terms packed by pack; a sum is a symmetric difference."""
 
-    __slots__ = _fields = ("degree", "terms")
+def transport_to_bar(f: MinCochain) -> BarCochain:
+    """The composite cochain taking mids to f(psi(mids))."""
+    values = tuple(f.bits >> 8 * s & 0xFF for s in generators(f.degree))
+    return BarCochain(f.degree, lambda mids: evaluate_bits(values, psi_bits(mids)))
 
-    def __init__(self, degree: int, terms: frozenset[int]) -> None:
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", terms)
 
-    @classmethod
-    def zero(cls, degree: int) -> "HochschildChain":
-        return cls(degree, frozenset())
+def transport_to_min(g: BarCochain) -> MinCochain:
+    """Evaluate a bar cochain on the phi images of the generators."""
+    n = g.degree
+    bits = 0
+    for slot, chain in enumerate(phi(n)):
+        bits |= evaluate_on_chain(g, chain).bits << 8 * slot
+    return MinCochain(n, bits)
 
-    @classmethod
-    def of(cls, degree: int, terms: Iterable[tuple[int, Mids]]) -> "HochschildChain":
-        """Sum of basis terms (head, mids); repeated terms cancel."""
-        acc: set[int] = set()
-        for term in terms:
-            head, mids = term
-            acc ^= {pack(head, _checked_mids(degree, term, mids, ("head", head)))}
-        return cls(degree, frozenset(acc))
 
-    def __add__(self, other: "HochschildChain") -> "HochschildChain":
-        if type(other) is not type(self):
-            return NotImplemented
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return HochschildChain(self.degree, self.terms ^ other.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+# ---------------------------------------------------------------------------
+# Hochschild chains and the Connes operator
+# ---------------------------------------------------------------------------
 
 
 def pack(head: int, mids: Mids) -> int:
@@ -386,15 +293,3 @@ def fold(term_image: Callable[[int, int], set[int]], terms: Iterable[int], degre
     for term in terms:
         acc ^= term_image(term, degree)
     return acc
-
-
-def chain_differential(c: HochschildChain) -> HochschildChain:
-    """Neighbor products plus the wrap-around term."""
-    if c.degree < 1:
-        raise ValueError("chain differential needs degree >= 1")
-    return HochschildChain(c.degree - 1, frozenset(fold(boundary_term, c.terms, c.degree)))
-
-
-def connes_b(c: HochschildChain) -> HochschildChain:
-    """Normalized Connes operator: cyclic rotations with a fresh unit head."""
-    return HochschildChain(c.degree + 1, frozenset(fold(connes_term, c.terms, c.degree)))

@@ -31,8 +31,8 @@ from .algebra import (
     right_act,
     rows,
 )
-from .bar import BarChain, Mids, bar_differential
-from .compare import phi, phi_on_element, psi
+from .bar import bar_differential
+from .compare import BarChain, Mids, phi, phi_on_element, psi
 from .hhring import CohomologyClass, Monomial, monomial_name
 from .minres import (
     MinCochain,
@@ -218,11 +218,11 @@ def phi_reference(n: int) -> tuple[BarChain, ...]:
         deg3 = phi_reference(3)[0]
         acc = BarChain.zero(4)
         for b in range(1, 8):
-            acc = acc + bar.shift_in(frame_multiply(1 << b, deg3, 1 << dual_basis(b)))
+            acc = acc + compare.shift_in(frame_multiply(1 << b, deg3, 1 << dual_basis(b)))
         return (acc,)
     if n == 5:
         deg4 = phi_reference(4)[0]
-        return tuple(bar.shift_in(frame_multiply(1 << g, deg4, 1 << UNIT)) for g in (X, Y))
+        return tuple(compare.shift_in(frame_multiply(1 << g, deg4, 1 << UNIT)) for g in (X, Y))
     raise ValueError("reference values exist for degrees 0..5 only")
 
 
@@ -384,7 +384,7 @@ def suite_comparison() -> Report:
 
     cat = hhring.catalog()
     for name, table in (("u1", U1_TRANSPORT_TABLE), ("u1p", U1P_TRANSPORT_TABLE)):
-        f = compare.transport_to_bar(cat[name].rep)
+        f = bar.transport_to_bar(cat[name].rep)
         fails = [BASIS_NAMES[b] for b, expected in table.items() if f((b,)) + expected]
         checks.append(_failed(f"degree-1 transport table for {name} (7 monomials)", fails))
 
@@ -673,7 +673,7 @@ def suite_bv() -> Report:
     ]
     fails = []
     for name, rep in duals:
-        f = compare.transport_to_bar(rep)
+        f = bar.transport_to_bar(rep)
         df = bar.bv_delta(f)
         r = rep.degree - 1
         for t, image in connes_images[r].items():
@@ -703,8 +703,16 @@ SUITES: dict[str, Callable[[], Report]] = {
 }
 
 
+def _suite_checks(name: str) -> list[Check]:
+    """The checks of one suite, or one failing check naming the exception it raised."""
+    try:
+        return SUITES[name]().checks
+    except Exception as exc:
+        return [Check(f"{name} suite raised {type(exc).__name__}", False, str(exc))]
+
+
 def run_suite(name: str) -> Report:
     """The report of one suite, or of every suite in order for "all"."""
     if name == "all":
-        return Report("all", [c for suite in SUITES.values() for c in suite().checks])
-    return SUITES[name]()
+        return Report("all", [c for suite in SUITES for c in _suite_checks(suite)])
+    return Report(name, _suite_checks(name))

@@ -13,9 +13,10 @@ import json
 import sys
 from typing import Sequence
 
-from . import compare, hhring
+from . import hhring
 
 TABLE_KINDS = ("delta", "bracket", "cup")
+DIMS_DEFAULT = 8  # --max of dims when none is given
 DIMS_MAX = 1000  # largest --max of dims; the class ring itself has no degree cap
 
 
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--format", choices=("markdown", "json"), default="markdown")
 
     p_dims = sub.add_parser("dims", help="print cohomology dimensions")
-    p_dims.add_argument("--max", type=int, default=compare.MAX_DEGREE, dest="max_degree",
+    p_dims.add_argument("--max", type=int, default=DIMS_DEFAULT, dest="max_degree",
                         help=f"list HH^0..HH^MAX, 0 <= MAX <= {DIMS_MAX} (default %(default)s)")
 
     return parser

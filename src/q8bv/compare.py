@@ -1,31 +1,30 @@
 """Comparison morphisms between the minimal resolution and the bar resolution.
 
 phi : P_* -> Bar_*  is built from the differential formulas and the bar-side
-contracting homotopy (prepend a fresh unit); psi : Bar_* -> P_* is built
-from the weak self-homotopy t_*.  Both satisfy the chain-map identities by
-construction; the comparison suite of q8bv.checks re-checks them on
-explicit arguments to guard the stored tables.
+contracting homotopy shift_in (prepend a fresh unit); psi : Bar_* -> P_* is
+built from the weak self-homotopy t_*.  Both satisfy the chain-map
+identities by construction; the comparison suite of q8bv.checks re-checks
+them on explicit arguments to guard the stored tables.
 
 psi is memoized per interior tuple as a packed P_n value (an int in the
 packed bimodule layout of algebra).  A miss extends the longest memoized
 tail one entry at a time through step tables, the per-bit images of
 t_r o (m . -), which are built on first use from minres.HOMOTOPY_TABLES as
 it stands then; clear_psi_memo drops the memo and the step tables together,
-so the hand tables stay the only source of truth.  psi_bits is the int entry:
-transport_to_bar evaluates a cochain on its packed values through
-algebra.evaluate_bits, with no MinResElement or AlgebraElement in between.
+so the hand tables stay the only source of truth.  psi_bits is the int entry
+that the transports of the bar oracle and delta_matrix read.
 
 Building phi(n) also fills psi on every prefix of its interior tuples, and
-with it every tail of those prefixes, so the values transport_to_min and
+with it every tail of those prefixes, so the values bar.transport_to_min and
 delta_matrix read are memoized once phi(n) exists, whichever query asked
 first.
 
-delta_matrix(n) is class-level Delta, transport_to_min o bar.bv_delta o
-transport_to_bar on degree-n cochains, as a matrix over the basis cochains.
-It is built in one pass over the interior tuples of phi(n - 1) that extends
-memoized psi tails through the same step tables and skips every zero value,
-and kept per degree until clear_psi_memo, which drops the matrices with the
-memo and the step tables.
+delta_matrix(n) is class-level Delta, the composite bar.transport_to_min o
+bar.bv_delta o bar.transport_to_bar on degree-n cochains, as a matrix over
+the basis cochains.  It is built in one pass over the interior tuples of
+phi(n - 1) that extends memoized psi tails through the same step tables and
+skips every zero value, and kept per degree until clear_psi_memo, which
+drops the matrices with the memo and the step tables.
 
 Degrees are capped at 8, as far as the oracle transports need to go.  The
 product reads only delta_matrix(1..4), since hhring reduces every class to
@@ -34,22 +33,99 @@ a residue degree by z-periodicity; the cup and the bracket are in minres.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterable
 
 from . import gf2
 from .algebra import MONO_MUL, UNIT, XYXY, dual_basis, mask_mul
 from .algebra import evaluate_bits, left_act, place, right_act, rows
-from .bar import BarChain, BarCochain, Mids, evaluate_on_chain, shift_in
 from .minres import (
     GENERATOR_COUNTS,
-    MinCochain,
     MinResElement,
     clear_diagonal_memo,
     differential_formulas,
     generators,
     homotopy_step_table,
 )
+from .value import Value
 
 MAX_DEGREE = 8
+
+Mids = tuple[int, ...]
+
+
+class BarChain(Value):
+    """Chain of the bar resolution, sum of left (x) m1 (x) ... (x) mn (x) right:
+    terms maps each interior tuple to the nonzero int packing its frames, bit
+    8*left + right of a one-slot packed element, so equal sums compare equal."""
+
+    __slots__ = _fields = ("degree", "terms")
+
+    def __init__(self, degree: int, terms: dict[Mids, int]) -> None:
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def zero(cls, degree: int) -> "BarChain":
+        return cls(degree, {})
+
+    @classmethod
+    def from_dict(cls, degree: int, terms: dict[Mids, int]) -> "BarChain":
+        """The sum with value terms[mids] at mids (takes the dict, drops zero values);
+        rejects a key whose length is not the degree."""
+        if 0 in terms.values():
+            terms = {mids: bits for mids, bits in terms.items() if bits}
+        total = cls(degree, terms)
+        for mids in terms:
+            if len(mids) != degree:
+                raise ValueError(f"key {mids!r} does not have length {degree}")
+        return total
+
+    @classmethod
+    def of(cls, degree: int, terms: Iterable[tuple[int, Mids, int]]) -> "BarChain":
+        """Sum of basis terms (left, mids, right), each entry checked."""
+        acc: dict[Mids, int] = {}
+        for term in terms:
+            left, mids, right = term
+            for name, index in (("left frame", left), ("right frame", right)):
+                if not 0 <= index < 8:
+                    raise ValueError(f"{name} {index!r} of {term!r} is not a monomial 0..7")
+            mids = tuple(mids)
+            if len(mids) != degree:
+                raise ValueError(f"term {term!r} does not have degree {degree}")
+            for m in mids:
+                if not 0 < m < 8:
+                    raise ValueError(f"interior entry {m!r} of {term!r} is not a non-unit monomial 1..7")
+            acc[mids] = acc.get(mids, 0) ^ place(1 << left, 0, 1 << right)
+        return cls.from_dict(degree, acc)
+
+    def __add__(self, other: "BarChain") -> "BarChain":
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.degree != other.degree:
+            raise ValueError("degree mismatch")
+        acc = dict(self.terms)
+        for mids, bits in other.terms.items():
+            acc[mids] = acc.get(mids, 0) ^ bits
+        return self.from_dict(self.degree, acc)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+def shift_in(chain: BarChain) -> BarChain:
+    """Contracting homotopy of the normalized bar resolution.
+
+    Sends a0 (x) m (x) right to 1 (x) a0 (x) m (x) right; a0 entering an
+    interior slot kills the term when it is the unit.
+    """
+    acc: dict[Mids, int] = {}
+    for mids, frames in chain.terms.items():
+        for _, left, rights in rows(frames):
+            if left != UNIT:
+                acc[(left,) + mids] = place(1 << UNIT, 0, rights)
+    return BarChain(chain.degree + 1, acc)
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +140,7 @@ def phi(n: int) -> tuple[BarChain, ...]:
         shift_in(phi_on_element(MinResElement.of(n - 1, terms))) for terms in differential_formulas(n)
     )
     # psi on every prefix, and through _psi_fill on its tails: the values that
-    # transport_to_min and _build_delta_matrix read
+    # bar.transport_to_min and _build_delta_matrix read
     for chain in chains:
         for mids in chain.terms:
             for i in range(1, n + 1):
@@ -147,21 +223,6 @@ def clear_psi_memo() -> None:
     clear_diagonal_memo()
 
 
-def transport_to_bar(f: MinCochain) -> BarCochain:
-    """The composite cochain taking mids to f(psi(mids))."""
-    values = tuple(f.bits >> 8 * s & 0xFF for s in generators(f.degree))
-    return BarCochain(f.degree, lambda mids: evaluate_bits(values, psi_bits(mids)))
-
-
-def transport_to_min(g: BarCochain) -> MinCochain:
-    """Evaluate a bar cochain on the phi images of the generators."""
-    n = g.degree
-    bits = 0
-    for slot, chain in enumerate(phi(n)):
-        bits |= evaluate_on_chain(g, chain).bits << 8 * slot
-    return MinCochain(n, bits)
-
-
 # ---------------------------------------------------------------------------
 # Class-level Delta as a matrix
 # ---------------------------------------------------------------------------
@@ -181,10 +242,10 @@ _DELTA_MATRICES: dict[int, tuple[int, ...]] = {}
 def delta_matrix(n: int) -> tuple[int, ...]:
     """Class-level Delta from degree n to degree n - 1 as a GF(2) matrix.
 
-    Entry j is transport_to_min(bv_delta(transport_to_bar(e_j))) for the j-th
-    basis cochain e_j of degree n, packed like MinCochain.bits (bit
-    8*slot + monomial); there are 8 entries per generator of P_n.  Built on
-    first use, dropped by clear_psi_memo.
+    Entry j is transport_to_min(bv_delta(transport_to_bar(e_j))), all three
+    in bar, for the j-th basis cochain e_j of degree n, packed like
+    MinCochain.bits (bit 8*slot + monomial); there are 8 entries per
+    generator of P_n.  Built on first use, dropped by clear_psi_memo.
     """
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"degree {n} outside supported range 1..{MAX_DEGREE}")

@@ -17,7 +17,6 @@ from q8bv.algebra import (
     bilinear_form,
     bimodule_derivation,
     dual_basis,
-    socle_pairing_with_one,
 )
 
 MONO = [AlgebraElement.monomial(i) for i in range(8)]
@@ -101,12 +100,6 @@ def test_derivation_splits_words():
     assert bimodule_derivation(X) == ((UNIT, X, UNIT),)
     assert bimodule_derivation(XY) == ((UNIT, X, Y), (X, Y, UNIT))
     assert bimodule_derivation(XYX) == ((UNIT, X, YX), (X, Y, X), (XY, X, UNIT))
-
-
-def test_socle_pairing():
-    assert socle_pairing_with_one(MONO[XYXY]) == 1
-    assert socle_pairing_with_one(MONO[X]) == 0
-    assert socle_pairing_with_one(MONO[YXY] + MONO[XYXY]) == 1
 
 
 def test_oracle_agrees_with_rewriting_table():

@@ -1,8 +1,9 @@
 """The split between the product and the oracle: the product modules know
-nothing of the suites, the table and dims commands never load them, each
-suite is its slice of `verify all`, and the table script writes the golden
-tables.  The Connes chain checks and the periodicity check fail on mutants
-of what they check, and one bv suite computes each chain image once."""
+nothing of the bar oracle or the suites, the table and dims commands never
+load the suites, each suite is its slice of `verify all`, and the table
+script writes the golden tables.  The Connes chain checks and the
+periodicity check fail on mutants of what they check, one bv suite computes
+each chain image once, and a suite that raises fails by name."""
 
 import ast
 import json
@@ -13,13 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from q8bv import bar, checks, cli
-from q8bv.algebra import MONO_MUL, UNIT, X, Y
+from q8bv import bar, checks, cli, hhring, minres
+from q8bv.algebra import MONO_MUL, UNIT, X, Y, YX
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "q8bv"
 GOLDEN = ROOT / "bench" / "golden"
-PRODUCT = ("algebra", "bar", "gf2", "minres", "compare", "hhring", "value")
+PRODUCT = ("algebra", "gf2", "minres", "compare", "hhring", "value")
 
 
 def run(capsys, *argv):
@@ -49,10 +50,13 @@ def imported_modules(tree):
             yield from (alias.name.rpartition(".")[2] for alias in node.names)
 
 
-@pytest.mark.parametrize("module", PRODUCT)
+@pytest.mark.parametrize("module", PRODUCT + ("cli",))
 def test_product_module_has_no_oracle_code(module):
+    """No product module imports the bar oracle or the suites; cli, which
+    loads the suites for verify, imports no bar either."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-    assert not {"report", "checks"} & set(imported_modules(tree))
+    oracle = {"bar"} if module == "cli" else {"bar", "report", "checks"}
+    assert not oracle & set(imported_modules(tree))
     functions = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
     assert not [f for f in functions if f.startswith(("verify_", "suite_"))]
 
@@ -246,6 +250,31 @@ def test_the_anticommutation_check_fails_without_the_wrap_around_face(monkeypatc
 
     monkeypatch.setattr(bar, "boundary_term", mutant)
     assert ANTICOMMUTES in failing(checks.suite_bv())
+
+
+def test_a_suite_that_raises_fails_by_name_and_the_other_suites_still_run(monkeypatch, capsys):
+    """Without the first term of t1(yx (x) x (x) 1) the homotopy checks fail
+    by name and the bv suite raises on a representative that is not a
+    cocycle; verify all still prints both verdicts and returns 1."""
+    tables = list(minres.HOMOTOPY_TABLES)
+    broken = dict(tables[1])
+    broken[(YX, 0)] = broken[(YX, 0)][1:]
+    tables[1] = broken
+    monkeypatch.setattr(minres, "HOMOTOPY_TABLES", tuple(tables))
+    hhring.clear_caches()
+    try:
+        homotopy = failing(checks.suite_homotopy())
+        code, out = run(capsys, "verify", "all")
+    finally:
+        monkeypatch.undo()
+        hhring.clear_caches()
+    assert code == 1
+    lines = out.splitlines()
+    assert homotopy
+    for name in homotopy:
+        assert any(line.startswith(f"[FAIL] all: {name}  (") for line in lines), name
+    assert any(line.startswith("[FAIL] all: bv suite raised ValueError  (") for line in lines)
+    assert lines[-1] == "suite all: FAIL"
 
 
 def test_the_periodicity_check_reads_the_presentation(monkeypatch):

@@ -6,9 +6,9 @@ import pytest
 
 from q8bv import checks, compare, hhring, minres
 from q8bv.algebra import MONO_MUL, UNIT, X, XY, XYX, XYXY, Y, YX, AlgebraElement
-from q8bv.bar import BarChain, bv_delta
+from q8bv.bar import bv_delta, transport_to_bar, transport_to_min
 from q8bv.checks import phi_reference
-from q8bv.compare import phi, psi, transport_to_bar, transport_to_min
+from q8bv.compare import BarChain, phi, psi
 from q8bv.hhring import catalog, class_of_monomial, delta_class
 from q8bv.minres import MinCochain, MinResElement
 

@@ -6,7 +6,7 @@ import pytest
 
 from q8bv import bar, checks, gf2, hhring, minres
 from q8bv.algebra import UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement, left_act, right_act
-from q8bv.compare import transport_to_bar, transport_to_min
+from q8bv.bar import transport_to_bar, transport_to_min
 from q8bv.hhring import CohomologyClass, class_eq
 from q8bv.minres import (
     MinCochain,

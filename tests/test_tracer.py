@@ -16,6 +16,7 @@ from pathlib import Path
 from q8bv import hhring
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "bench" / "golden"
 
 SCRIPT = """
 import json, sys
@@ -48,16 +49,28 @@ def test_traced_render_and_dims_count_gf2_calls():
     assert out["counts"]["gf2.calls"] > 0
 
 
-def test_traced_table_command_loads_every_layer_and_matches_golden_bytes():
+def traced_command(*argv):
+    """The result that bench/inproc.py prints for a traced run of argv."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "inproc.py"), "--trace", "1", "--",
-         "table", "bracket", "--format", "json"],
+        [sys.executable, str(ROOT / "bench" / "inproc.py"), "--trace", "1", "--", *argv],
         capture_output=True,
         text=True,
         timeout=300,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_traced_table_command_loads_every_layer_and_matches_golden_bytes():
+    out = traced_command("table", "bracket", "--format", "json")
     assert out["rc"] == 0
-    assert out["stdout"].encode() == (ROOT / "bench" / "golden" / "table_bracket.json").read_bytes()
+    assert out["stdout"].encode() == (GOLDEN / "table_bracket.json").read_bytes()
+
+
+def test_traced_verify_runs_the_golden_checks():
+    """The traced verify also wraps the transports and the cochain algebra of bar."""
+    out = traced_command("verify", "all", "--json")
+    assert out["rc"] == 0
+    names = [check["name"] for check in json.loads(out["stdout"])["checks"]]
+    assert names == json.loads((GOLDEN / "verify_checks.json").read_text())
