@@ -5,12 +5,10 @@ Monomials are indexed 0..7 in the fixed global order
     0:1, 1:x, 2:y, 3:xy, 4:yx, 5:xyx, 6:yxy, 7:xyxy
 
 and every element is an 8-bit GF(2) coefficient mask over that order.  The
-multiplication table is built once by word rewriting and cross-checked at
-import time against an independently constructed group-algebra oracle: the
-group algebra of the quaternion group of order 8 over GF(4), into which A
-embeds by x -> (1+i) + w(1+j) + w^2(1+k) with w a primitive cube root of
-unity.  (Over GF(2) itself no such embedding exists; the two algebras only
-become isomorphic after the quadratic field extension.)
+multiplication table is built once by word rewriting.  The algebra suite of
+q8bv.checks compares it with an independently constructed oracle, the group
+algebra of the quaternion group of order 8 over GF(4); importing this module
+runs no comparison.
 
 The module also owns the packed layout of free A-bimodules that minres and
 bar share: place, rows, left_act, right_act and evaluate_bits.
@@ -31,10 +29,6 @@ UNIT, X, Y, XY, YX, XYX, YXY, XYXY = range(8)
 
 # b -> b* for the symmetrizing form <a, b> = coefficient of xyxy in a*b
 DUAL_BASIS: tuple[int, ...] = (XYXY, YXY, XYX, XY, YX, Y, X, UNIT)
-
-
-class AlgebraConstructionError(RuntimeError):
-    """Raised when the rewriting table and the group-algebra oracle disagree."""
 
 
 def _reduce_word(word: str) -> Optional[str]:
@@ -226,171 +220,6 @@ def evaluate_bits(values: Sequence[int], bits: int) -> int:
     for slot, left, rights in rows(bits):
         acc ^= mask_mul(mask_mul(1 << left, values[slot]), rights)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# Group-algebra oracle over GF(4)
-# ---------------------------------------------------------------------------
-
-def _quaternion_table() -> tuple[tuple[int, ...], ...]:
-    """Multiplication table of Q8 = <a, b | a^4 = 1, b^2 = a^2, ba = a^3 b>.
-
-    Elements are a^m b^n indexed by 4*n + m; in quaternion notation a = i,
-    b = j, ab = k and a^2 = -1.
-    """
-
-    def mul(e1: tuple[int, int], e2: tuple[int, int]) -> tuple[int, int]:
-        m1, n1 = e1
-        m2, n2 = e2
-        if n1 == 0:
-            m, n = (m1 + m2) % 4, n2
-        else:
-            m, n = (m1 - m2) % 4, 1 + n2
-            if n == 2:
-                m, n = (m + 2) % 4, 0
-        return m, n
-
-    els = [(m, n) for n in range(2) for m in range(4)]
-    idx = {e: i for i, e in enumerate(els)}
-    return tuple(tuple(idx[mul(p, q)] for q in els) for p in els)
-
-
-# GF(4) scalars are 2-bit integers c0 + w*c1 with w^2 = w + 1.
-_GF4_INV = {1: 1, 2: 3, 3: 2}
-
-
-def _gf4_scale(c: int, v: tuple[int, int]) -> tuple[int, int]:
-    """c * v for a GF(4) scalar c and a vector v = m0 + w*m1 of two bit masks."""
-    m0, m1 = v
-    return ((0, 0), v, (m1, m0 ^ m1), (m0 ^ m1, m0))[c]
-
-
-class GroupAlgebraOracle:
-    """Quaternion group algebra over GF(4) with the twisted embedding of A.
-
-    Elements are pairs (m0, m1) of 8-bit masks over the group-element basis,
-    representing m0 + w*m1.  The embedding sends x to (1+a) + w(1+b) +
-    w^2(1+ab) and y to its Frobenius conjugate (w <-> w^2); its eight
-    monomial images are GF(4)-independent, so products pull back uniquely.
-    """
-
-    def __init__(self) -> None:
-        self.table = _quaternion_table()
-        one = 1 << 0
-        la = one ^ (1 << 1)   # 1 + a
-        lb = one ^ (1 << 4)   # 1 + b
-        lab = one ^ (1 << 5)  # 1 + ab
-        # x -> [a] + w[b] + w^2[ab],  y -> [a] + w^2[b] + w[ab]
-        self.image_x = (la ^ lab, lb ^ lab)
-        self.image_y = (la ^ lb, lb ^ lab)
-        self.images = [self._word_image(w) for w in BASIS_WORDS]
-        # echelon basis of the images: (pivot coordinate, vector with
-        # coefficient 1 there, its combination of the images as a vector
-        # over the image indices), each reduced against the rows before it
-        self._basis: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
-        for n, image in enumerate(self.images):
-            vec, comb = self._reduce(image, (1 << n, 0))
-            if vec != (0, 0):
-                support = vec[0] | vec[1]
-                r = (support & -support).bit_length() - 1
-                inv = _GF4_INV[self._coords(vec, r)]
-                self._basis.append((r, _gf4_scale(inv, vec), _gf4_scale(inv, comb)))
-
-    # -- GF(4) group-algebra arithmetic -------------------------------------
-    def _gmul2(self, u: int, v: int) -> int:
-        out = 0
-        for p in range(8):
-            if u >> p & 1:
-                row = self.table[p]
-                for q in range(8):
-                    if v >> q & 1:
-                        out ^= 1 << row[q]
-        return out
-
-    def mul(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        p00 = self._gmul2(a[0], b[0])
-        p01 = self._gmul2(a[0], b[1])
-        p10 = self._gmul2(a[1], b[0])
-        p11 = self._gmul2(a[1], b[1])
-        return (p00 ^ p11, p01 ^ p10 ^ p11)
-
-    @staticmethod
-    def add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        return (a[0] ^ b[0], a[1] ^ b[1])
-
-    def _word_image(self, word: str) -> tuple[int, int]:
-        acc = (1, 0)
-        for ch in word:
-            acc = self.mul(acc, self.image_x if ch == "x" else self.image_y)
-        return acc
-
-    # -- pullback ------------------------------------------------------------
-    def _coords(self, elem: tuple[int, int], r: int) -> int:
-        return (elem[0] >> r & 1) | ((elem[1] >> r & 1) << 1)
-
-    def _reduce(
-        self, target: tuple[int, int], comb: tuple[int, int]
-    ) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Clear the pivot coordinates of target, adding to comb the image
-        combinations of the basis rows used."""
-        for r, vec, row_comb in self._basis:
-            c = self._coords(target, r)
-            if c:
-                target = self.add(target, _gf4_scale(c, vec))
-                comb = self.add(comb, _gf4_scale(c, row_comb))
-        return target, comb
-
-    def express(self, target: tuple[int, int]) -> Optional[list[int]]:
-        """Coordinates of target over the monomial-image basis, or None."""
-        rest, comb = self._reduce(target, (0, 0))
-        if rest != (0, 0):
-            return None
-        return [self._coords(comb, n) for n in range(8)]
-
-    def images_independent(self) -> bool:
-        return self.express((0, 0)) is not None and all(
-            self.express(img) == [1 if k == n else 0 for k in range(8)]
-            for n, img in enumerate(self.images)
-        )
-
-    def pullback_table(self) -> tuple[tuple[int, ...], ...]:
-        """Structure constants of the group algebra over the image basis.
-
-        Raises AlgebraConstructionError if any product fails to pull back to
-        GF(2) coordinates.
-        """
-        table = []
-        for a in range(8):
-            row = []
-            for b in range(8):
-                coords = self.express(self.mul(self.images[a], self.images[b]))
-                if coords is None or any(c not in (0, 1) for c in coords):
-                    raise AlgebraConstructionError(
-                        f"product {BASIS_NAMES[a]}*{BASIS_NAMES[b]} does not "
-                        "pull back to a GF(2) combination of monomial images"
-                    )
-                bits = 0
-                for i, c in enumerate(coords):
-                    if c:
-                        bits |= 1 << i
-                row.append(bits)
-            table.append(tuple(row))
-        return tuple(table)
-
-
-def _cross_check_table() -> GroupAlgebraOracle:
-    oracle = GroupAlgebraOracle()
-    if not oracle.images_independent():
-        raise AlgebraConstructionError("monomial images are linearly dependent")
-    if oracle.pullback_table() != MONO_MUL:
-        raise AlgebraConstructionError(
-            "rewriting table disagrees with the group-algebra oracle"
-        )
-    return oracle
-
-
-#: Built at import; guarantees MONO_MUL agrees with the group-algebra oracle.
-ORACLE: GroupAlgebraOracle = _cross_check_table()
 
 
 def center_basis() -> list[AlgebraElement]:

@@ -1,7 +1,9 @@
 """Command-line surface: runs the suites of q8bv.checks (imported by verify
 alone), emits structure tables, lists dimensions.
 
-Exit codes: 0 everything passed, 1 a verification check failed, 2 usage error.
+Exit codes: 0 everything passed, 1 a verification check failed, 2 usage error,
+141 the reader of stdout closed it early (as after SIGPIPE; the rest of the
+output is dropped and no traceback is printed).
 All output is deterministic; JSON table output is canonical (sorted keys,
 fixed separators), so parsing and re-rendering is byte-identical.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -95,6 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send the rest of stdout to devnull, so the flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

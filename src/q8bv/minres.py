@@ -9,7 +9,10 @@ Shape (repeating with period 4):
 Differential and homotopy value tables are stored on arguments of the form
 (basis monomial) (x) generator (x) 1 and extended by right A-linearity.
 An element of P_n is one int in the packed free-bimodule layout of
-algebra, which the bar chains also use for their outer frames.
+algebra, which the bar chains also use for their outer frames.  homotopy_t
+applies the homotopy tables as they stand at the call; the augmentation
+P_0 -> A and the splitting rho : A -> P_3 with its retraction tau, which
+only the identities of the homotopy suite read, are in q8bv.checks.
 
 Cochains on P are packed ints too, and the product structure is computed on
 them without the bar complex, through one diagonal P -> P (x)_A P built with
@@ -132,30 +135,6 @@ def min_differential(e: MinResElement) -> MinResElement:
         for a, s2, b in formulas[slot]:
             acc ^= place(MONO_MUL[left][a], s2, mask_mul(1 << b, rights))
     return MinResElement(e.degree - 1, acc)
-
-
-def augmentation(e: MinResElement) -> AlgebraElement:
-    """d0: multiply the two frames of P_0."""
-    if e.degree % 4 != 0:
-        raise ValueError("augmentation lives on P_0")
-    return AlgebraElement(evaluate_bits((1 << UNIT,), e.bits))
-
-
-def rho(a: AlgebraElement) -> MinResElement:
-    """Bimodule splitting A -> P_3, rho(1) = sum_b b* (x) b."""
-    acc = 0
-    for b in range(8):
-        acc ^= place(1 << dual_basis(b), 0, mask_mul(1 << b, a.bits))
-    return MinResElement(3, acc)
-
-
-def tau(e: MinResElement) -> AlgebraElement:
-    """Bimodule retraction P_3 -> A: xyxy (x) c -> c, other b (x) c -> 0."""
-    acc = 0
-    for _, left, rights in rows(e.bits):
-        if left == XYXY:
-            acc ^= rights
-    return AlgebraElement(acc)
 
 
 def _t0_table() -> dict[tuple[int, int], tuple[Term, ...]]:
@@ -305,13 +284,6 @@ class MinCochain(Value):
         if len(self.values) == 1:
             return str(self.values[0])
         return "(" + ", ".join(str(v) for v in self.values) + ")"
-
-
-def evaluate_min(f: MinCochain, e: MinResElement) -> AlgebraElement:
-    """Bimodule-linear evaluation of a MinCochain on an element of P_degree."""
-    if e.degree != f.degree:
-        raise ValueError("degree mismatch")
-    return AlgebraElement(evaluate_bits([v.bits for v in f.values], e.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +456,13 @@ def bracket(f: MinCochain, g: MinCochain) -> MinCochain:
 
 
 def min_cochain_differential(f: MinCochain) -> MinCochain:
-    """Precompose f with the next differential: (delta f)(gen) = f(d(gen))."""
+    """Precompose f with the next differential: (delta f)(gen) = f(d(gen)),
+    the sum of a f(gen_s) b over the terms (a, s, b) of d(gen)."""
     n = f.degree
     bits = 0
-    for slot in generators(n + 1):
-        gen = MinResElement.generator(n + 1, slot)
-        bits |= evaluate_min(f, min_differential(gen)).bits << 8 * slot
+    for slot, terms in enumerate(differential_formulas(n + 1)):
+        value = 0
+        for a, s, b in terms:
+            value ^= mask_mul(mask_mul(1 << a, f.bits >> 8 * s & 0xFF), 1 << b)
+        bits |= value << 8 * slot
     return MinCochain(n + 1, bits)

@@ -18,10 +18,10 @@ from q8bv.algebra import (
     Y,
     YXY,
     AlgebraElement,
-    GroupAlgebraOracle,
     bilinear_form,
     dual_basis,
 )
+from q8bv.checks import GroupAlgebraOracle
 from q8bv.compare import BarChain
 from q8bv.minres import MinCochain, MinResElement
 

@@ -521,11 +521,12 @@ def test_mask_kernels_match_reference_on_phi_images_of_catalog_generators():
     from q8bv.bar import transport_to_bar
     from q8bv.compare import phi, psi
     from q8bv.hhring import GENERATOR_ORDER, catalog
-    from q8bv.minres import evaluate_min
+    from q8bv.algebra import evaluate_bits
 
     def ref_transport(rep):
         n = rep.degree
-        return RefCochain(n, lambda mids: evaluate_min(rep, psi(n, mids)))
+        values = [v.bits for v in rep.values]
+        return RefCochain(n, lambda mids: AlgebraElement(evaluate_bits(values, psi(n, mids).bits)))
 
     cat = catalog()
     pairs = [(transport_to_bar(cat[g].rep), ref_transport(cat[g].rep)) for g in GENERATOR_ORDER]

@@ -98,24 +98,24 @@ def test_the_bracket_table_fills_no_psi_memo():
 
 
 @pytest.mark.parametrize(
-    "argv", [["table", kind, "--format", "json"] for kind in cli.TABLE_KINDS] + [["dims"]], ids=lambda argv: "-".join(argv[:2])
+    "argv",
+    [None] + [["table", kind, "--format", "json"] for kind in cli.TABLE_KINDS] + [["dims"]],
+    ids=lambda argv: "-".join(argv[:2]) if argv else "import",
 )
 def test_table_and_dims_load_neither_the_oracle_nor_dataclasses(argv):
-    script = (
-        "import contextlib, io, sys\n"
-        "from q8bv import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main({argv!r})\n"
-        "print(code, sorted({'q8bv.checks', 'q8bv.report', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
-    )
+    """Neither a bare import q8bv (argv None) nor a table or dims command
+    loads the bar oracle, the suites or dataclasses."""
+    if argv is None:
+        command = "import q8bv\ncode = 0\n"
+    else:
+        command = (
+            "from q8bv import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main({argv!r})\n"
+        )
+    oracle = {"q8bv.bar", "q8bv.checks", "q8bv.report", "dataclasses", "inspect"}
+    script = f"import contextlib, io, sys\n{command}print(code, sorted({oracle!r} & set(sys.modules)))\n"
     assert fresh_interpreter(script) == "0 []\n"
-
-
-def test_importing_the_package_loads_every_timed_layer():
-    """bench/tracer.py reads each layer from sys.modules right after import q8bv."""
-    layers = ["gf2", "bar", "minres", "compare", "hhring"]
-    script = f"import sys, q8bv\nprint([m for m in {layers!r} if 'q8bv.' + m not in sys.modules])\n"
-    assert fresh_interpreter(script) == "[]\n"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -281,3 +281,9 @@ def test_the_periodicity_check_reads_the_presentation(monkeypatch):
     count = checks.presentation_monomial_count
     monkeypatch.setattr(checks, "presentation_monomial_count", lambda n: count(n) + (n == 6))
     assert failing(checks.suite_relations()) == {"hh_dim(n+4) = hh_dim(n) for n = 1..3"}
+
+
+def test_the_center_dimension_check_reads_the_conjugacy_classes(monkeypatch):
+    assert checks.conjugacy_class_count() == 5
+    monkeypatch.setattr(checks, "conjugacy_class_count", lambda: 4)
+    assert failing(checks.suite_relations()) == {"hh_dim(0) = 5 (center dimension)"}

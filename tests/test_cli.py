@@ -1,6 +1,10 @@
 """Command-line surface: suites, tables, dims, exit codes, canonical JSON."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -116,3 +120,19 @@ def test_dims_past_the_old_cap_repeat_with_period_4(capsys):
     code, out = run(capsys, "dims", "--max", "40")
     assert code == 0
     assert out.splitlines() == [f"HH^{n}: {(7, 7, 5, 5)[(n - 1) % 4] if n else 5}" for n in range(41)]
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    """The child imports for about 100 ms before it writes, so the pipe is
+    closed by then; the command ends quietly with exit code 141."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "q8bv", "table", "cup"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141
+    assert "Traceback" not in stderr

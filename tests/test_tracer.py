@@ -4,7 +4,9 @@ A traced run wraps every public function of the timed layers by name, so a
 refactor that renames or drops them can break ``bench/run.py --trace 1``
 without failing any other test.  The runs happen in fresh interpreters
 because installing the tracer rebinds names in every loaded q8bv module, and
-because the tracer reads each layer from sys.modules after ``import q8bv``.
+because the tracer reads each layer from sys.modules after it has imported
+them: ``import q8bv`` loads the product layers, and ``Tracer.install()``
+imports the bar oracle itself.
 """
 
 import json
@@ -32,6 +34,26 @@ def op():
 result, _, stats = run_traced(op)
 print(json.dumps({"result": result, "counts": stats["counts"]}))
 """
+
+
+def test_installing_the_tracer_loads_every_timed_layer():
+    """After import q8bv, which loads no bar, the tracer finds every layer it times."""
+    script = (
+        "import sys\n"
+        "sys.path[:0] = sys.argv[1:3]\n"
+        "import q8bv\n"
+        "from tracer import TIMED_LAYERS, Tracer\n"
+        "Tracer().install()\n"
+        "print([m for m in TIMED_LAYERS if 'q8bv.' + m not in sys.modules])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "bench")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_traced_render_and_dims_count_gf2_calls():
