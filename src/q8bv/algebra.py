@@ -5,13 +5,19 @@ Monomials are indexed 0..7 in the fixed global order
     0:1, 1:x, 2:y, 3:xy, 4:yx, 5:xyx, 6:yxy, 7:xyxy
 
 and every element is an 8-bit GF(2) coefficient mask over that order.  The
-multiplication table is built once by word rewriting.  The algebra suite of
-q8bv.checks compares it with an independently constructed oracle, the group
-algebra of the quaternion group of order 8 over GF(4); importing this module
-runs no comparison.
+multiplication table MONO_MUL of the monomials is built once by word
+rewriting.  The algebra suite of q8bv.checks compares it with an
+independently constructed oracle, the group algebra of the quaternion group
+of order 8 over GF(4); importing this module runs no comparison.
+
+Every product the other modules compute is read from one flat bytes table,
+PRODUCTS, built at import from MONO_MUL by linearity: e_m * b and b * e_m
+for each monomial m and each of the 256 masks b.  A product with a monomial
+factor is one read; mask_mul sums one read per monomial of its left factor.
 
 The module also owns the packed layout of free A-bimodules that minres and
-bar share: place, rows, left_act, right_act and evaluate_bits.
+bar share: place, rows, left_act, right_act and evaluate_bits.  The last
+three walk the rows of a packed element inline and multiply by table reads.
 """
 from __future__ import annotations
 
@@ -68,18 +74,36 @@ def _build_mono_table() -> tuple[tuple[int, ...], ...]:
 MONO_MUL: tuple[tuple[int, ...], ...] = _build_mono_table()
 
 
+#: offset of the right products in PRODUCTS
+RIGHT_MUL = 1 << 11
+
+
+def _build_products() -> bytes:
+    """The left products, then the right ones; each row lists the sums of
+    the products with e_0..e_7 over all 256 subsets, in mask order."""
+    table: list[int] = []
+    for factors in (MONO_MUL, tuple(zip(*MONO_MUL))):  # e_m * e_k, then e_k * e_m
+        for row in factors:
+            sums = [0]
+            for product in row:
+                sums += [s ^ product for s in sums]
+            table += sums
+    return bytes(table)
+
+
+#: the products of a basis monomial with every coefficient mask, by linearity
+#: from MONO_MUL: PRODUCTS[m << 8 | b] is e_m * b and
+#: PRODUCTS[RIGHT_MUL | m << 8 | b] is b * e_m (2 x 8 x 256 bytes)
+PRODUCTS: bytes = _build_products()
+
+
 def mask_mul(a: int, b: int) -> int:
-    """Product of two coefficient masks (bilinear extension of MONO_MUL)."""
+    """Product of two coefficient masks: e_m * b summed over the monomials m of a."""
     out = 0
     while a:
         low = a & -a
-        row = MONO_MUL[low.bit_length() - 1]
+        out ^= PRODUCTS[(low.bit_length() - 1) << 8 | b]
         a ^= low
-        c = b
-        while c:
-            low = c & -c
-            out ^= row[low.bit_length() - 1]
-            c ^= low
     return out
 
 
@@ -197,16 +221,35 @@ def rows(bits: int) -> Iterator[tuple[int, int, int]]:
 def left_act(a: int, bits: int) -> int:
     """a . bits for a coefficient mask a: multiplies every left frame."""
     acc = 0
-    for slot, left, rights in rows(bits):
-        acc ^= place(mask_mul(a, 1 << left), slot, rights)
+    while bits:  # the row walk of rows, inlined
+        shift = (bits & -bits).bit_length() - 1 & ~7
+        rights = bits >> shift & 0xFF
+        bits ^= rights << shift
+        lefts = PRODUCTS[RIGHT_MUL | (shift & 0x38) << 5 | a]  # a * e_left
+        slot = shift & ~63
+        while lefts:
+            low = lefts & -lefts
+            acc ^= rights << (slot | (low.bit_length() - 1) << 3)
+            lefts ^= low
     return acc
 
 
 def right_act(bits: int, a: int) -> int:
     """bits . a for a coefficient mask a: multiplies every right frame."""
+    offsets = []  # of the products b * e_m for the monomials m of a
+    while a:
+        low = a & -a
+        offsets.append(RIGHT_MUL | (low.bit_length() - 1) << 8)
+        a ^= low
     acc = 0
-    for slot, left, rights in rows(bits):
-        acc ^= mask_mul(rights, a) << ((slot << 3 | left) << 3)
+    while bits:
+        shift = (bits & -bits).bit_length() - 1 & ~7
+        rights = bits >> shift & 0xFF
+        bits ^= rights << shift
+        product = 0
+        for offset in offsets:
+            product ^= PRODUCTS[offset | rights]
+        acc ^= product << shift
     return acc
 
 
@@ -217,8 +260,16 @@ def evaluate_bits(values: Sequence[int], bits: int) -> int:
     left * values[slot] * rights over the rows of bits.
     """
     acc = 0
-    for slot, left, rights in rows(bits):
-        acc ^= mask_mul(mask_mul(1 << left, values[slot]), rights)
+    while bits:
+        shift = (bits & -bits).bit_length() - 1 & ~7
+        rights = bits >> shift & 0xFF
+        bits ^= rights << shift
+        value = PRODUCTS[(shift & 0x38) << 5 | values[shift >> 6]]  # e_left * values[slot]
+        if value:
+            while rights:
+                low = rights & -rights
+                acc ^= PRODUCTS[RIGHT_MUL | (low.bit_length() - 1) << 8 | value]
+                rights ^= low
     return acc
 
 

@@ -14,9 +14,10 @@ Conventions, enforced centrally:
 
 A cochain value is an 8-bit coefficient mask (an int, see algebra): the
 memo stores masks, composites read their operands through BarCochain.mask
-and multiply with mask_mul, and only the public call wraps a value in an
-AlgebraElement.  Each circle product and each bracket is one flat cochain
-that loops over every insertion slot.
+and multiply with mask_mul, or with one algebra.PRODUCTS read when a factor
+is a monomial, and only the public call wraps a value in an AlgebraElement.
+Each circle product and each bracket is one flat cochain that loops over
+every insertion slot.
 
 Bar chains are compare.BarChain, the values of phi.  A basis term of a
 Hochschild chain is one octal-packed int (pack); b and B map a term to a set
@@ -26,8 +27,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .algebra import MONO_MUL, UNIT, XYXY, AlgebraElement, dual_basis, mask_mul
-from .algebra import evaluate_bits, place, rows
+from .algebra import MONO_MUL, PRODUCTS, RIGHT_MUL, UNIT, XYXY, AlgebraElement, dual_basis
+from .algebra import evaluate_bits, mask_mul, place, rows
 from .compare import BarChain, Mids, phi, psi_bits
 from .minres import MinCochain, generators
 
@@ -41,7 +42,7 @@ def bar_differential(chain: BarChain) -> BarChain:
         first = last = 0
         for _, left, rights in rows(frames):
             first ^= place(MONO_MUL[left][mids[0]], 0, rights)  # left . m1
-            last ^= place(1 << left, 0, mask_mul(1 << mids[-1], rights))  # mn . rights
+            last ^= place(1 << left, 0, PRODUCTS[mids[-1] << 8 | rights])  # mn . rights
         acc[mids[1:]] = acc.get(mids[1:], 0) ^ first
         acc[mids[:-1]] = acc.get(mids[:-1], 0) ^ last
         for i in range(1, len(mids)):
@@ -109,7 +110,7 @@ def cochain_differential(f: BarCochain) -> BarCochain:
     n, fmask = f.degree, f.mask
 
     def fn(args: Mids) -> int:
-        acc = mask_mul(1 << args[0], fmask(args[1:])) ^ mask_mul(fmask(args[:-1]), 1 << args[n])
+        acc = PRODUCTS[args[0] << 8 | fmask(args[1:])] ^ PRODUCTS[RIGHT_MUL | args[n] << 8 | fmask(args[:-1])]
         for i in range(1, n + 1):
             prod = MONO_MUL[args[i - 1]][args[i]]  # a monomial or zero
             if prod:

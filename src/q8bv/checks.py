@@ -24,6 +24,8 @@ from .algebra import (
     BASIS_WORDS,
     MONO_MUL,
     ONE,
+    PRODUCTS,
+    RIGHT_MUL,
     UNIT,
     X,
     XY,
@@ -34,17 +36,17 @@ from .algebra import (
     dual_basis,
     evaluate_bits,
     left_act,
-    mask_mul,
     place,
     right_act,
     rows,
 )
 from .bar import bar_differential
-from .compare import BarChain, Mids, phi, phi_on_element, psi
+from .compare import BarChain, Mids, phi, phi_on_element, psi, psi_bits
 from .hhring import CohomologyClass, Monomial, monomial_name
 from .minres import (
     MinCochain,
     MinResElement,
+    differential_bits,
     generators,
     homotopy_t,
     min_differential,
@@ -226,12 +228,15 @@ def suite_algebra() -> Report:
     agree = oracle.images_independent() and oracle.pullback_table() == MONO_MUL
     checks.append(Check("multiplication table agrees with group-algebra oracle (64 products)", agree))
 
+    # (e_a e_b) e_c from the right products and e_a (e_b e_c) from the left
+    # ones, as coefficient masks
+    sides = [
+        (PRODUCTS[RIGHT_MUL | c << 8 | MONO_MUL[a][b]], PRODUCTS[a << 8 | MONO_MUL[b][c]])
+        for a, b, c in itertools.product(range(8), repeat=3)
+    ]
+    checks.append(Check("associativity on all 512 basis triples", all(lhs == rhs for lhs, rhs in sides)))
+
     mono = [AlgebraElement.monomial(i) for i in range(8)]
-    assoc = all(
-        (mono[a] * mono[b]) * mono[c] + mono[a] * (mono[b] * mono[c]) == AlgebraElement.zero()
-        for a in range(8) for b in range(8) for c in range(8)
-    )
-    checks.append(Check("associativity on all 512 basis triples", assoc))
 
     x, y = mono[X], mono[Y]
     rels = (
@@ -248,11 +253,8 @@ def suite_algebra() -> Report:
     )
     checks.append(Check("bilinear form symmetric (64 pairs)", sym))
 
-    assoc_form = all(
-        algebra.bilinear_form(mono[a] * mono[b], mono[c])
-        == algebra.bilinear_form(mono[a], mono[b] * mono[c])
-        for a in range(8) for b in range(8) for c in range(8)
-    )
+    # <e_a e_b, e_c> and <e_a, e_b e_c>: the xyxy coefficients of the two sides
+    assoc_form = all(lhs >> XYXY & 1 == rhs >> XYXY & 1 for lhs, rhs in sides)
     checks.append(Check("bilinear form associative (512 triples)", assoc_form))
 
     gram = [sum(algebra.bilinear_form(mono[a], mono[b]) << b for b in range(8)) for a in range(8)]
@@ -282,7 +284,7 @@ def rho(a: AlgebraElement) -> MinResElement:
     """Bimodule splitting A -> P_3, rho(1) = sum_b b* (x) b."""
     acc = 0
     for b in range(8):
-        acc ^= place(1 << dual_basis(b), 0, mask_mul(1 << b, a.bits))
+        acc ^= place(1 << dual_basis(b), 0, PRODUCTS[b << 8 | a.bits])
     return MinResElement(3, acc)
 
 
@@ -413,14 +415,6 @@ def phi_reference(n: int) -> tuple[BarChain, ...]:
     raise ValueError("reference values exist for degrees 0..5 only")
 
 
-_UNIT_FRAMES = place(1 << UNIT, 0, 1 << UNIT)
-
-
-def _bar_basis_tensor(mids: Mids) -> BarChain:
-    """The bar chain 1 (x) mids (x) 1."""
-    return BarChain(len(mids), {mids: _UNIT_FRAMES})
-
-
 def psi_on_chain(chain: BarChain) -> MinResElement:
     """Bimodule-linear extension of psi to bar chains with outer frames."""
     acc = 0
@@ -432,14 +426,25 @@ def psi_on_chain(chain: BarChain) -> MinResElement:
     return MinResElement(chain.degree, acc)
 
 
+def psi_of_boundary(mids: Mids) -> int:
+    """Packed psi of the bar differential of 1 (x) mids (x) 1, summed over its
+    faces: m1 . psi(mids[1:]), psi of each tuple with two neighbours
+    multiplied, and psi(mids[:-1]) . mn."""
+    acc = left_act(1 << mids[0], psi_bits(mids[1:])) ^ right_act(psi_bits(mids[:-1]), 1 << mids[-1])
+    for i in range(1, len(mids)):
+        prod = MONO_MUL[mids[i - 1]][mids[i]]  # a monomial or zero
+        if prod:
+            acc ^= psi_bits(mids[: i - 1] + (prod.bit_length() - 1,) + mids[i + 1 :])
+    return acc
+
+
 def _psi_chain_map_fails(n: int, tuples: Iterable[Mids]) -> list[str]:
     """The tuples of degree n on which d psi and psi b disagree, compared as packed ints."""
-    fails = []
-    for mids in tuples:
-        lhs = min_differential(psi(n, mids)).bits
-        if lhs != psi_on_chain(bar_differential(_bar_basis_tensor(mids))).bits:
-            fails.append(f"degree {n} tuple {mids}")
-    return fails
+    return [
+        f"degree {n} tuple {mids}"
+        for mids in tuples
+        if differential_bits(n, psi_bits(mids)) != psi_of_boundary(mids)
+    ]
 
 
 #: value tables of the two degree-1 generators transported to the bar complex
@@ -865,7 +870,7 @@ def suite_bv() -> Report:
         r = rep.degree - 1
         for t, image in connes_images[r].items():
             head, mids = bar.unpack(t, r)
-            lhs = algebra.mask_mul(df.mask(mids), 1 << head) >> algebra.XYXY & 1  # <df(mids), head>
+            lhs = PRODUCTS[RIGHT_MUL | head << 8 | df.mask(mids)] >> XYXY & 1  # <df(mids), head>
             # the parity of <f(mids of u), 1> over the terms u of B(t)
             rhs = sum(f.mask(bar.unpack(u, r + 1)[1]) >> algebra.XYXY for u in image) & 1
             if lhs != rhs:

@@ -36,7 +36,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import gf2
-from .algebra import MONO_MUL, UNIT, XYXY, dual_basis, mask_mul
+from .algebra import MONO_MUL, PRODUCTS, RIGHT_MUL, UNIT, XYXY, dual_basis
 from .algebra import evaluate_bits, left_act, place, right_act, rows
 from .minres import (
     GENERATOR_COUNTS,
@@ -231,7 +231,7 @@ def clear_psi_memo() -> None:
 #: bit k of _EPSILON[8*left + right] is the xyxy coefficient of left e_k right,
 #: so _EPSILON[i & 63] << 8*slot is the socle covector of packed bit i of P_n
 _EPSILON: tuple[int, ...] = tuple(
-    sum(1 << k for k in range(8) if mask_mul(MONO_MUL[left][k], 1 << right) >> XYXY & 1)
+    sum(1 << k for k in range(8) if PRODUCTS[RIGHT_MUL | right << 8 | MONO_MUL[left][k]] >> XYXY & 1)
     for left in range(8)
     for right in range(8)
 )

@@ -35,6 +35,8 @@ from .algebra import (
     XYXY,
     AlgebraElement,
     MONO_MUL,
+    PRODUCTS,
+    RIGHT_MUL,
     bimodule_derivation,
     dual_basis,
     evaluate_bits,
@@ -64,8 +66,11 @@ class MinResElement(Value):
     __slots__ = _fields = ("degree", "bits")
 
     def __init__(self, degree: int, bits: int) -> None:
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
+        width = 64 * len(generators(degree))
+        if bits < 0 or bits >> width:
+            raise ValueError(
+                f"bits out of range for the {width // 64} generators of degree {degree} ({width} bits)"
+            )
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "bits", bits)
 
@@ -129,12 +134,17 @@ def differential_formulas(degree: int) -> tuple[tuple[Term, ...], ...]:
 
 def min_differential(e: MinResElement) -> MinResElement:
     """Bimodule-linear extension of the generator formulas."""
-    formulas = differential_formulas(e.degree)
+    return MinResElement(e.degree - 1, differential_bits(e.degree, e.bits))
+
+
+def differential_bits(degree: int, bits: int) -> int:
+    """min_differential on the packed int of an element of P_degree."""
+    formulas = differential_formulas(degree)
     acc = 0
-    for slot, left, rights in rows(e.bits):
+    for slot, left, rights in rows(bits):
         for a, s2, b in formulas[slot]:
-            acc ^= place(MONO_MUL[left][a], s2, mask_mul(1 << b, rights))
-    return MinResElement(e.degree - 1, acc)
+            acc ^= place(MONO_MUL[left][a], s2, PRODUCTS[b << 8 | rights])
+    return acc
 
 
 def _t0_table() -> dict[tuple[int, int], tuple[Term, ...]]:
@@ -206,7 +216,7 @@ def _apply_homotopy(table, bits: int) -> int:
     acc = 0
     for slot, left, rights in rows(bits):
         for p, s2, q in table[(left, slot)]:
-            acc ^= place(1 << p, s2, mask_mul(1 << q, rights))
+            acc ^= PRODUCTS[q << 8 | rights] << ((s2 << 3 | p) << 3)
     return acc
 
 
@@ -351,7 +361,7 @@ def _t_tensor_one(terms: tuple[Term, ...], previous: ColumnRows, i: int, c_j: in
             if not left:
                 continue
             if b:
-                rights = mask_mul(rights, 1 << b)
+                rights = PRODUCTS[RIGHT_MUL | b << 8 | rights]
                 if not rights:
                     continue
             s, u = divmod(pair_left >> 3, c_j)
@@ -371,7 +381,8 @@ def _iota_t_p(terms: tuple[Term, ...], previous: ColumnRows, k: int) -> int:
         for u_left, mid, rights in previous[slot][0]:
             left = row_a[u_left & 7]
             if left:
-                projected ^= place(MONO_MUL[left.bit_length() - 1][mid], u_left >> 3, mask_mul(rights, 1 << b))
+                rights_b = PRODUCTS[RIGHT_MUL | b << 8 | rights]
+                projected ^= place(MONO_MUL[left.bit_length() - 1][mid], u_left >> 3, rights_b)
     image = _apply_homotopy(HOMOTOPY_TABLES[(k - 1) % 4], projected)
     return sum((image >> (u << 6) & _BLOCK) << (u << 9) for u in generators(k))
 
@@ -382,7 +393,8 @@ def _f_tensor_one(values: list[int], column: int, c_j: int) -> int:
     acc = 0
     for pair_left, mid, rights in rows(column):
         s, u = divmod(pair_left >> 3, c_j)
-        acc ^= place(mask_mul(mask_mul(1 << (pair_left & 7), values[s]), 1 << mid), u, rights)
+        value = PRODUCTS[RIGHT_MUL | mid << 8 | PRODUCTS[(pair_left & 7) << 8 | values[s]]]
+        acc ^= place(value, u, rights)
     return acc
 
 
@@ -427,7 +439,7 @@ def _homotopy_lift(f: MinCochain, diagonal: list[list[list[int]]], top: int) -> 
             # (1 (x) f) on the column P_{k-n} (x)_A P_n: left (x) gen_s (x) mid f(gen_u) right
             for pair_left, mid, rights in rows(columns[k - n]):
                 s, u = divmod(pair_left >> 3, c_n)
-                acc ^= place(1 << (pair_left & 7), s, mask_mul(mask_mul(1 << mid, values[u]), rights))
+                acc ^= place(1 << (pair_left & 7), s, mask_mul(PRODUCTS[mid << 8 | values[u]], rights))
             images.append(_apply_homotopy(table, acc))
         lift = images
     return lift
@@ -463,6 +475,6 @@ def min_cochain_differential(f: MinCochain) -> MinCochain:
     for slot, terms in enumerate(differential_formulas(n + 1)):
         value = 0
         for a, s, b in terms:
-            value ^= mask_mul(mask_mul(1 << a, f.bits >> 8 * s & 0xFF), 1 << b)
+            value ^= PRODUCTS[RIGHT_MUL | b << 8 | PRODUCTS[a << 8 | f.bits >> 8 * s & 0xFF]]
         bits |= value << 8 * slot
     return MinCochain(n + 1, bits)

@@ -182,3 +182,29 @@ def test_packed_rows_rebuild_the_element():
         assert rights and 0 <= slot < 2 and 0 <= left < 8
         rebuilt ^= algebra.place(1 << left, slot, rights)
     assert rebuilt == bits
+
+
+def _bit_loop_mul(a, b):
+    """The bilinear extension of MONO_MUL, one monomial pair at a time."""
+    out = 0
+    for i in range(8):
+        if a >> i & 1:
+            for j in range(8):
+                if b >> j & 1:
+                    out ^= MONO_MUL[i][j]
+    return out
+
+
+def test_product_table_is_the_bilinear_extension_of_the_monomial_table():
+    table = algebra.PRODUCTS
+    assert type(table) is bytes and len(table) == 2 * 8 * 256
+    for m in range(8):
+        for b in range(256):
+            assert table[m << 8 | b] == _bit_loop_mul(1 << m, b), (m, b)
+            assert table[algebra.RIGHT_MUL | m << 8 | b] == _bit_loop_mul(b, 1 << m), (m, b)
+
+
+def test_mask_mul_is_the_bilinear_extension_on_every_pair_of_masks():
+    mask_mul = algebra.mask_mul
+    for a in range(256):
+        assert [mask_mul(a, b) for b in range(256)] == [_bit_loop_mul(a, b) for b in range(256)], a

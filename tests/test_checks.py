@@ -3,9 +3,12 @@ nothing of the bar oracle or the suites, the table and dims commands never
 load the suites, each suite is its slice of `verify all`, and the table
 script writes the golden tables.  The Connes chain checks and the
 periodicity check fail on mutants of what they check, one bv suite computes
-each chain image once, and a suite that raises fails by name."""
+each chain image once, and a suite that raises fails by name.  The psi
+chain-map check sums psi over the faces of 1 (x) mids (x) 1, which is psi of
+its bar differential, and fails by tuple on a corrupted homotopy table."""
 
 import ast
+import itertools
 import json
 import os
 import subprocess
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from q8bv import bar, checks, cli, hhring, minres
+from q8bv import bar, checks, cli, compare, hhring, minres
 from q8bv.algebra import MONO_MUL, UNIT, X, Y, YX
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -287,3 +290,38 @@ def test_the_center_dimension_check_reads_the_conjugacy_classes(monkeypatch):
     assert checks.conjugacy_class_count() == 5
     monkeypatch.setattr(checks, "conjugacy_class_count", lambda: 4)
     assert failing(checks.suite_relations()) == {"hh_dim(0) = 5 (center dimension)"}
+
+
+def _psi_chain_map_tuples():
+    """The tuples the two psi chain-map checks of suite_comparison visit."""
+    for n in range(1, 4):
+        yield from itertools.product(range(1, 8), repeat=n)
+    for n in range(4, 7):
+        yield from sorted({mids for chain in compare.phi(n) for mids in chain.terms})
+
+
+def test_the_psi_face_sum_is_psi_of_the_bar_differential():
+    for mids in _psi_chain_map_tuples():
+        chain = bar.bar_differential(compare.BarChain.of(len(mids), [(UNIT, mids, UNIT)]))
+        assert checks.psi_of_boundary(mids) == checks.psi_on_chain(chain).bits, mids
+
+
+def test_the_psi_chain_map_check_fails_on_a_dropped_t1_term(monkeypatch):
+    """Without the first term of t1(yx (x) x (x) 1) the comparison suite fails
+    the exhaustive psi chain-map check, naming its first three tuples, and
+    the psi_3 row check, and nothing else."""
+    tables = list(minres.HOMOTOPY_TABLES)
+    broken = dict(tables[1])
+    broken[(YX, 0)] = broken[(YX, 0)][1:]
+    tables[1] = broken
+    monkeypatch.setattr(minres, "HOMOTOPY_TABLES", tuple(tables))
+    hhring.clear_caches()
+    try:
+        report = checks.suite_comparison()
+    finally:
+        monkeypatch.undo()
+        hhring.clear_caches()
+    assert {c.name: c.detail for c in report.checks if not c.passed} == {
+        "psi chain map, degrees 1..3 exhaustive": "degree 2 tuple (4, 1); degree 2 tuple (4, 3); degree 2 tuple (4, 5)",
+        "psi_3 cyclic-sum rows match the degree-3 tables": "('b', 'x', 'y') at b=yx",
+    }

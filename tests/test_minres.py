@@ -84,6 +84,15 @@ def test_constructor_rejects_negative_degrees():
         MinResElement(-3, 5)
 
 
+def test_constructor_rejects_bits_outside_the_generators():
+    # 1 << 200 was accepted and min_differential then failed with IndexError
+    for degree, bits in ((1, 1 << 200), (0, 1 << 64), (2, 1 << 128), (3, -1), (4, 1 << 64)):
+        width = 64 * len(generators(degree))
+        with pytest.raises(ValueError, match=f"out of range .* degree {degree} \\({width} bits\\)$"):
+            MinResElement(degree, bits)
+    assert MinResElement(1, (1 << 128) - 1).bits == (1 << 128) - 1
+
+
 def test_zero_rejects_negative_degrees():
     with pytest.raises(ValueError, match="got -1$"):
         MinResElement.zero(-1)
