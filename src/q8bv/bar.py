@@ -30,7 +30,7 @@ from typing import Callable, Iterable
 from .algebra import MONO_MUL, PRODUCTS, RIGHT_MUL, UNIT, XYXY, AlgebraElement, dual_basis
 from .algebra import evaluate_bits, mask_mul, place, rows
 from .compare import BarChain, Mids, phi, psi_bits
-from .minres import MinCochain, generators
+from .minres import MinCochain
 
 
 def bar_differential(chain: BarChain) -> BarChain:
@@ -216,7 +216,7 @@ def bv_delta(f: BarCochain) -> BarCochain:
 
 def transport_to_bar(f: MinCochain) -> BarCochain:
     """The composite cochain taking mids to f(psi(mids))."""
-    values = tuple(f.bits >> 8 * s & 0xFF for s in generators(f.degree))
+    values = f.masks
     return BarCochain(f.degree, lambda mids: evaluate_bits(values, psi_bits(mids)))
 
 

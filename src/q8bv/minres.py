@@ -278,9 +278,14 @@ class MinCochain(Value):
         return cls(degree, 0)
 
     @property
+    def masks(self) -> tuple[int, ...]:
+        """The coefficient masks of the values on the generators, in slot order."""
+        return tuple(self.bits >> 8 * s & 0xFF for s in generators(self.degree))
+
+    @property
     def values(self) -> tuple[AlgebraElement, ...]:
         """The values on the generators, in slot order."""
-        return tuple(AlgebraElement(self.bits >> 8 * s & 0xFF) for s in generators(self.degree))
+        return tuple(map(AlgebraElement, self.masks))
 
     def __add__(self, other: "MinCochain") -> "MinCochain":
         if self.degree != other.degree:
@@ -387,7 +392,7 @@ def _iota_t_p(terms: tuple[Term, ...], previous: ColumnRows, k: int) -> int:
     return sum((image >> (u << 6) & _BLOCK) << (u << 9) for u in generators(k))
 
 
-def _f_tensor_one(values: list[int], column: int, c_j: int) -> int:
+def _f_tensor_one(values: Sequence[int], column: int, c_j: int) -> int:
     """(f (x) 1) on a column P_n (x)_A P_j, for f of degree n with the given
     generator values: left f(gen_s) mid (x) gen_u (x) right, in P_j."""
     acc = 0
@@ -405,8 +410,8 @@ def cup(f: MinCochain, g: MinCochain) -> MinCochain:
     memoized diagonal as it stood when built.
     """
     m, n = f.degree, g.degree
-    f_values = [v.bits for v in f.values]
-    g_values = [v.bits for v in g.values]
+    f_values = f.masks
+    g_values = g.masks
     c_n = GENERATOR_COUNTS[n % 4]
     bits = 0
     for s, columns in enumerate(_diagonal(m + n)[m + n]):
@@ -423,7 +428,7 @@ def _homotopy_lift(f: MinCochain, diagonal: list[list[list[int]]], top: int) -> 
     d psi_f + psi_f d = F_f.  Reads HOMOTOPY_TABLES as it stands at the call.
     """
     n = f.degree
-    values = [v.bits for v in f.values]
+    values = f.masks
     c_n = GENERATOR_COUNTS[n % 4]
     lift: list[int] = []
     for k in range(n, top + 1):
@@ -461,7 +466,7 @@ def bracket(f: MinCochain, g: MinCochain) -> MinCochain:
     diagonal = _diagonal(top)
     bits = 0
     for outer, inner in ((f, g), (g, f)):
-        values = [v.bits for v in outer.values]
+        values = outer.masks
         for s, e in enumerate(_homotopy_lift(inner, diagonal, top)):
             bits ^= evaluate_bits(values, e) << 8 * s
     return MinCochain(top, bits)
@@ -471,10 +476,11 @@ def min_cochain_differential(f: MinCochain) -> MinCochain:
     """Precompose f with the next differential: (delta f)(gen) = f(d(gen)),
     the sum of a f(gen_s) b over the terms (a, s, b) of d(gen)."""
     n = f.degree
+    masks = f.masks
     bits = 0
     for slot, terms in enumerate(differential_formulas(n + 1)):
         value = 0
         for a, s, b in terms:
-            value ^= PRODUCTS[RIGHT_MUL | b << 8 | PRODUCTS[a << 8 | f.bits >> 8 * s & 0xFF]]
+            value ^= PRODUCTS[RIGHT_MUL | b << 8 | PRODUCTS[a << 8 | masks[s]]]
         bits |= value << 8 * slot
     return MinCochain(n + 1, bits)

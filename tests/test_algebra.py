@@ -1,5 +1,7 @@
 """Multiplication table, symmetrizing form, derivation, and oracle agreement."""
 
+import pytest
+
 from q8bv import algebra, checks
 from q8bv.algebra import (
     BASIS_NAMES,
@@ -117,6 +119,36 @@ def test_oracle_embedding_satisfies_relations():
     assert vv == oracle.mul(oracle.mul(u, v), u)
     assert oracle.mul(uu, uu) == (0, 0)
     assert oracle.mul(vv, vv) == (0, 0)
+
+
+def _w_times(v):
+    """w (m0 + w m1) = m1 + w (m0 + m1), as w^2 = w + 1."""
+    m0, m1 = v
+    return (m1, m0 ^ m1)
+
+
+def test_oracle_rejects_a_product_outside_the_gf2_span(monkeypatch):
+    # with w on every x, the images stay independent but x*x = w^2 (yxy) is
+    # w times the image of yxy, which is not a GF(2) combination
+    word_image = GroupAlgebraOracle._word_image
+
+    def twisted(self, word):
+        v = word_image(self, word)
+        for _ in range(word.count("x")):
+            v = _w_times(v)
+        return v
+
+    monkeypatch.setattr(GroupAlgebraOracle, "_word_image", twisted)
+    oracle = GroupAlgebraOracle()
+    assert oracle.images_independent()
+    with pytest.raises(checks.AlgebraConstructionError, match=r"^product x\*x does not pull back"):
+        oracle.pullback_table()
+
+
+def test_oracle_finds_dependent_images(monkeypatch):
+    word_image = GroupAlgebraOracle._word_image
+    monkeypatch.setattr(GroupAlgebraOracle, "_word_image", lambda self, word: word_image(self, word.replace("y", "x")))
+    assert not GroupAlgebraOracle().images_independent()
 
 
 def test_no_embedding_with_plain_leading_terms():

@@ -257,8 +257,9 @@ def test_the_anticommutation_check_fails_without_the_wrap_around_face(monkeypatc
 
 def test_a_suite_that_raises_fails_by_name_and_the_other_suites_still_run(monkeypatch, capsys):
     """Without the first term of t1(yx (x) x (x) 1) the homotopy checks fail
-    by name and the bv suite raises on a representative that is not a
-    cocycle; verify all still prints both verdicts and returns 1."""
+    by name and the table part of the bv suite raises on a representative
+    that is not a cocycle; verify all still prints both verdicts and the
+    bv chain checks, and returns 1."""
     tables = list(minres.HOMOTOPY_TABLES)
     broken = dict(tables[1])
     broken[(YX, 0)] = broken[(YX, 0)][1:]
@@ -277,6 +278,13 @@ def test_a_suite_that_raises_fails_by_name_and_the_other_suites_still_run(monkey
     for name in homotopy:
         assert any(line.startswith(f"[FAIL] all: {name}  (") for line in lines), name
     assert any(line.startswith("[FAIL] all: bv suite raised ValueError  (") for line in lines)
+    # the chain checks of the bv suite read no table and still run
+    for name in (
+        "Connes operator squares to zero, chain degrees 0..3",
+        "boundary anticommutes with Connes operator, degrees 0..3",
+        "Delta is dual to the Connes operator for transported cocycles",
+    ):
+        assert f"[PASS] all: {name}" in lines, name
     assert lines[-1] == "suite all: FAIL"
 
 

@@ -173,6 +173,7 @@ def test_min_cochain_constructors_reject_bad_input():
             MinCochain(degree, bits)
     assert MinCochain.of(1, (MONO[XY], MONO[X])) == MinCochain(1, 1 << XY | 1 << (8 + X))
     assert MinCochain(1, 1 << XY | 1 << (8 + X)).values == (MONO[XY], MONO[X])
+    assert MinCochain(1, 1 << XY | 1 << (8 + X)).masks == (1 << XY, 1 << X)
 
 
 def test_min_cochain_differential_of_socle_constant():
