@@ -11,14 +11,18 @@ module imports this one.
 It also holds the oracle code that only the suites read: the GF(4)
 group-algebra oracle of the multiplication table, whose pullback eliminates
 through gf2 like every other rank and reduction here, and the augmentation
-and the splitting rho and retraction tau of the homotopy identities.  A
-suite that raises, or a part of suite_bv that raises, becomes one failing
-check named after the suite and the exception, and the rest still runs.
+and the splitting rho and retraction tau of the homotopy identities.
+
+Every check is built by _check: it keeps its first three counterexamples,
+and an exception raised inside it fails that check alone, by name, with the
+exception as its detail.  Values several checks read are memoized for one
+run of their suite.  run_suite turns a suite that raises outside its checks
+into one failing check named after the suite.
 """
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
 from . import algebra, bar, compare, gf2, hhring
@@ -57,8 +61,18 @@ from .minres import (
 from .report import Check, Report
 
 
-def _failed(name: str, fails: list[str]) -> Check:
-    """A check that passes when fails is empty, with the fails as its detail."""
+def _check(name: str, compute: Callable[[], bool | Iterable[str]]) -> Check:
+    """The check called name.  compute() returns whether it passes, or its
+    counterexamples, of which the first three become the detail and no more
+    are read; an exception raised inside compute fails this check alone,
+    with the exception as its detail."""
+    try:
+        result = compute()
+        if isinstance(result, bool):
+            return Check(name, result)
+        fails = list(itertools.islice(result, 3))
+    except Exception as exc:
+        return Check(name, False, f"raised {type(exc).__name__}: {exc}")
     return Check(name, not fails, "; ".join(fails))
 
 
@@ -190,50 +204,52 @@ def conjugacy_class_count() -> int:
 def suite_algebra() -> Report:
     """The multiplication table against the group-algebra oracle, and the
     axioms of the algebra and of its symmetrizing form."""
-    checks = []
 
-    oracle = GroupAlgebraOracle()
-    agree = oracle.images_independent() and oracle.pullback_table() == MONO_MUL
-    checks.append(Check("multiplication table agrees with group-algebra oracle (64 products)", agree))
+    def oracle_agrees() -> bool:
+        oracle = GroupAlgebraOracle()
+        return oracle.images_independent() and oracle.pullback_table() == MONO_MUL
 
-    # (e_a e_b) e_c from the right products and e_a (e_b e_c) from the left
-    # ones, as coefficient masks
-    sides = [
-        (PRODUCTS[RIGHT_MUL | c << 8 | MONO_MUL[a][b]], PRODUCTS[a << 8 | MONO_MUL[b][c]])
-        for a, b, c in itertools.product(range(8), repeat=3)
-    ]
-    checks.append(Check("associativity on all 512 basis triples", all(lhs == rhs for lhs, rhs in sides)))
+    @cache
+    def sides() -> list[tuple[int, int]]:
+        """(e_a e_b) e_c from the right products and e_a (e_b e_c) from the
+        left ones, as coefficient masks."""
+        return [
+            (PRODUCTS[RIGHT_MUL | c << 8 | MONO_MUL[a][b]], PRODUCTS[a << 8 | MONO_MUL[b][c]])
+            for a, b, c in itertools.product(range(8), repeat=3)
+        ]
 
     mono = [AlgebraElement.monomial(i) for i in range(8)]
-
     x, y = mono[X], mono[Y]
-    rels = (
-        x * x + mono[algebra.YXY],
-        y * y + mono[algebra.XYX],
-        x * x * x * x,
-        y * y * y * y,
-    )
-    checks.append(Check("defining relations vanish", not any(rels)))
 
-    sym = all(
-        algebra.bilinear_form(mono[a], mono[b]) == algebra.bilinear_form(mono[b], mono[a])
-        for a in range(8) for b in range(8)
-    )
-    checks.append(Check("bilinear form symmetric (64 pairs)", sym))
+    def form(a: int, b: int) -> int:
+        return algebra.bilinear_form(mono[a], mono[b])
 
-    # <e_a e_b, e_c> and <e_a, e_b e_c>: the xyxy coefficients of the two sides
-    assoc_form = all(lhs >> XYXY & 1 == rhs >> XYXY & 1 for lhs, rhs in sides)
-    checks.append(Check("bilinear form associative (512 triples)", assoc_form))
-
-    gram = [sum(algebra.bilinear_form(mono[a], mono[b]) << b for b in range(8)) for a in range(8)]
-    checks.append(Check("Gram matrix nondegenerate", gf2.rank(gram) == 8))
-
-    expected_dual = (7, 6, 5, 3, 4, 2, 1, 0)
-    dual_ok = tuple(dual_basis(i) for i in range(8)) == expected_dual
-    involution = all(dual_basis(dual_basis(i)) == i for i in range(8))
-    checks.append(Check("dual basis table (8 entries) and involution", dual_ok and involution))
-
-    return Report("algebra", checks)
+    return Report("algebra", [
+        _check("multiplication table agrees with group-algebra oracle (64 products)", oracle_agrees),
+        _check("associativity on all 512 basis triples", lambda: all(lhs == rhs for lhs, rhs in sides())),
+        _check(
+            "defining relations vanish",
+            lambda: not any((x * x + mono[algebra.YXY], y * y + mono[algebra.XYX], x * x * x * x, y * y * y * y)),
+        ),
+        _check(
+            "bilinear form symmetric (64 pairs)",
+            lambda: all(form(a, b) == form(b, a) for a in range(8) for b in range(8)),
+        ),
+        # <e_a e_b, e_c> and <e_a, e_b e_c>: the xyxy coefficients of the two sides
+        _check(
+            "bilinear form associative (512 triples)",
+            lambda: all(lhs >> XYXY & 1 == rhs >> XYXY & 1 for lhs, rhs in sides()),
+        ),
+        _check(
+            "Gram matrix nondegenerate",
+            lambda: gf2.rank([sum(form(a, b) << b for b in range(8)) for a in range(8)]) == 8,
+        ),
+        _check(
+            "dual basis table (8 entries) and involution",
+            lambda: tuple(map(dual_basis, range(8))) == (7, 6, 5, 3, 4, 2, 1, 0)
+            and all(dual_basis(dual_basis(i)) == i for i in range(8)),
+        ),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -280,51 +296,37 @@ def _arg_name(degree: int, b: int, slot: int) -> str:
 
 def suite_homotopy() -> Report:
     """Every weak self-homotopy identity on all generator-by-basis arguments."""
-    checks: list[Check] = []
 
-    fails = []
-    for b in range(8):
-        if augmentation(homotopy_t(-1, AlgebraElement.monomial(b))) + AlgebraElement.monomial(b):
-            fails.append(BASIS_NAMES[b])
-    checks.append(_failed("d0 t(-1) = Id", fails[:3]))
+    def moved_by(f: Callable[[AlgebraElement], AlgebraElement]) -> Iterator[str]:
+        """The basis monomials a with f(a) != a."""
+        for b in range(8):
+            if f(AlgebraElement.monomial(b)) + AlgebraElement.monomial(b):
+                yield BASIS_NAMES[b]
 
-    for p in range(3):
-        fails = []
+    def contracts(p: int) -> Iterator[str]:
+        """d(p+1) t(p) + t(p-1) d(p) = Id on P_p, with rho tau for d4 t3 at the seam."""
         for e, b, slot in _basis_arguments(p):
-            lhs = min_differential(homotopy_t(p, e))
-            if p == 0:
-                lhs = lhs + homotopy_t(-1, augmentation(e))
-            else:
-                lhs = lhs + homotopy_t(p - 1, min_differential(e))
-            if lhs + e:
-                fails.append(_arg_name(p, b, slot))
-        checks.append(_failed(f"d{p + 1} t{p} + t{p - 1} d{p} = Id", fails[:3]))
+            upper = rho(tau(e)) if p == 3 else min_differential(homotopy_t(p, e))
+            lower = homotopy_t(-1, augmentation(e)) if p == 0 else homotopy_t(p - 1, min_differential(e))
+            if upper + lower + e:
+                yield _arg_name(p, b, slot)
 
-    fails = []
-    for e, b, slot in _basis_arguments(3):
-        lhs = homotopy_t(2, min_differential(e)) + rho(tau(e))
-        if lhs + e:
-            fails.append(_arg_name(3, b, slot))
-    checks.append(_failed("t2 d3 + rho tau = Id", fails[:3]))
+    def squares_vanish() -> Iterator[str]:
+        for b in range(8):
+            if homotopy_t(0, homotopy_t(-1, AlgebraElement.monomial(b))):
+                yield f"t0 t(-1) on {BASIS_NAMES[b]}"
+        for p in range(4):
+            for e, b, slot in _basis_arguments(p):
+                if homotopy_t(p + 1, homotopy_t(p, e)):
+                    yield f"t{p + 1} t{p} on {_arg_name(p, b, slot)}"
 
-    fails = []
-    for b in range(8):
-        got = tau(rho(AlgebraElement.monomial(b)))
-        if got + AlgebraElement.monomial(b):
-            fails.append(BASIS_NAMES[b])
-    checks.append(_failed("tau rho = Id", fails[:3]))
-
-    fails = []
-    for b in range(8):
-        if homotopy_t(0, homotopy_t(-1, AlgebraElement.monomial(b))):
-            fails.append(f"t0 t(-1) on {BASIS_NAMES[b]}")
-    for p in range(4):
-        for e, b, slot in _basis_arguments(p):
-            if homotopy_t(p + 1, homotopy_t(p, e)):
-                fails.append(f"t{p + 1} t{p} on {_arg_name(p, b, slot)}")
-    checks.append(_failed("t(i+1) t(i) = 0", fails[:3]))
-
-    return Report("homotopy", checks)
+    return Report("homotopy", [
+        _check("d0 t(-1) = Id", lambda: moved_by(lambda a: augmentation(homotopy_t(-1, a)))),
+        *(_check(f"d{p + 1} t{p} + t{p - 1} d{p} = Id", partial(contracts, p)) for p in range(3)),
+        _check("t2 d3 + rho tau = Id", partial(contracts, 3)),
+        _check("tau rho = Id", lambda: moved_by(lambda a: tau(rho(a)))),
+        _check("t(i+1) t(i) = 0", squares_vanish),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +408,11 @@ def psi_of_boundary(mids: Mids) -> int:
     return acc
 
 
-def _psi_chain_map_fails(n: int, tuples: Iterable[Mids]) -> list[str]:
+def _psi_chain_map_fails(n: int, tuples: Iterable[Mids]) -> Iterator[str]:
     """The tuples of degree n on which d psi and psi b disagree, compared as packed ints."""
-    return [
-        f"degree {n} tuple {mids}"
-        for mids in tuples
-        if differential_bits(n, psi_bits(mids)) != psi_of_boundary(mids)
-    ]
+    for mids in tuples:
+        if differential_bits(n, psi_bits(mids)) != psi_of_boundary(mids):
+            yield f"degree {n} tuple {mids}"
 
 
 #: value tables of the two degree-1 generators transported to the bar complex
@@ -501,61 +501,59 @@ def suite_comparison() -> Report:
     psi is checked exhaustively in degrees 1..3 and on the tuples occurring
     in phi images in degrees 4..6.
     """
-    checks: list[Check] = []
 
-    fails = []
-    for n in range(1, 7):
-        for slot in generators(n):
-            lhs = bar_differential(phi(n)[slot])
-            rhs = phi_on_element(min_differential(MinResElement.generator(n, slot)))
-            if lhs + rhs:
-                fails.append(f"degree {n} slot {slot}")
-    checks.append(_failed("phi chain map, degrees 1..6", fails[:3]))
+    def phi_commutes() -> Iterator[str]:
+        for n in range(1, 7):
+            for slot in generators(n):
+                rhs = phi_on_element(min_differential(MinResElement.generator(n, slot)))
+                if bar_differential(phi(n)[slot]) + rhs:
+                    yield f"degree {n} slot {slot}"
 
-    fails = []
-    for n in range(1, 4):
-        fails += _psi_chain_map_fails(n, itertools.product(range(1, 8), repeat=n))
-    checks.append(_failed("psi chain map, degrees 1..3 exhaustive", fails[:3]))
+    def psi_commutes_exhaustively() -> Iterator[str]:
+        for n in range(1, 4):
+            yield from _psi_chain_map_fails(n, itertools.product(range(1, 8), repeat=n))
 
-    fails = []
-    for n in range(4, 7):
-        seen: set[Mids] = set()
-        for chain in phi(n):
-            seen.update(chain.terms)
-        fails += _psi_chain_map_fails(n, sorted(seen))
-    checks.append(_failed("psi chain map, degrees 4..6 on phi-image tuples", fails[:3]))
+    def psi_commutes_on_phi_images() -> Iterator[str]:
+        for n in range(4, 7):
+            yield from _psi_chain_map_fails(n, sorted({mids for chain in phi(n) for mids in chain.terms}))
 
-    fails = []
-    for n in range(0, 5):
-        for slot in generators(n):
-            got = psi_on_chain(phi(n)[slot])
-            if got + MinResElement.generator(n, slot):
-                fails.append(f"degree {n} slot {slot}")
-    checks.append(_failed("psi o phi = Id, degrees 0..4", fails[:3]))
+    def psi_inverts_phi() -> Iterator[str]:
+        for n in range(0, 5):
+            for slot in generators(n):
+                if psi_on_chain(phi(n)[slot]) + MinResElement.generator(n, slot):
+                    yield f"degree {n} slot {slot}"
 
-    fails = []
-    for n in range(0, 6):
-        ref = phi_reference(n)
-        got = phi(n)
-        for slot in generators(n):
-            if got[slot] + ref[slot]:
-                fails.append(f"degree {n} slot {slot}")
-    checks.append(_failed("phi matches hand-tabulated values, degrees 0..5", fails[:3]))
+    def phi_matches_reference() -> Iterator[str]:
+        for n in range(0, 6):
+            ref, got = phi_reference(n), phi(n)
+            for slot in generators(n):
+                if got[slot] + ref[slot]:
+                    yield f"degree {n} slot {slot}"
 
-    cat = hhring.catalog()
-    for name, table in (("u1", U1_TRANSPORT_TABLE), ("u1p", U1P_TRANSPORT_TABLE)):
-        f = bar.transport_to_bar(cat[name].rep)
-        fails = [BASIS_NAMES[b] for b, expected in table.items() if f((b,)) + expected]
-        checks.append(_failed(f"degree-1 transport table for {name} (7 monomials)", fails))
+    def transport_matches(name: str, table: dict[int, AlgebraElement]) -> Iterator[str]:
+        f = bar.transport_to_bar(hhring.catalog()[name].rep)
+        for b, expected in table.items():
+            if f((b,)) + expected:
+                yield BASIS_NAMES[b]
 
-    fails = []
-    for pattern, table_rows in PSI3_ROW_TABLES:
-        for b_word, pairs in table_rows.items():
-            if _psi3_cyclic_sum(pattern, b_word) + MinResElement.of(3, pairs):
-                fails.append(f"{pattern} at b={b_word}")
-    checks.append(_failed("psi_3 cyclic-sum rows match the degree-3 tables", fails[:3]))
+    def psi3_rows_match() -> Iterator[str]:
+        for pattern, table_rows in PSI3_ROW_TABLES:
+            for b_word, pairs in table_rows.items():
+                if _psi3_cyclic_sum(pattern, b_word) + MinResElement.of(3, pairs):
+                    yield f"{pattern} at b={b_word}"
 
-    return Report("comparison", checks)
+    return Report("comparison", [
+        _check("phi chain map, degrees 1..6", phi_commutes),
+        _check("psi chain map, degrees 1..3 exhaustive", psi_commutes_exhaustively),
+        _check("psi chain map, degrees 4..6 on phi-image tuples", psi_commutes_on_phi_images),
+        _check("psi o phi = Id, degrees 0..4", psi_inverts_phi),
+        _check("phi matches hand-tabulated values, degrees 0..5", phi_matches_reference),
+        *(
+            _check(f"degree-1 transport table for {name} (7 monomials)", partial(transport_matches, name, table))
+            for name, table in (("u1", U1_TRANSPORT_TABLE), ("u1p", U1P_TRANSPORT_TABLE))
+        ),
+        _check("psi_3 cyclic-sum rows match the degree-3 tables", psi3_rows_match),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -647,26 +645,33 @@ CUP_WITNESSES: tuple[tuple[str, Monomial, MinCochain], ...] = (
 def suite_relations() -> Report:
     """Every listed relation as an iterated cup product, the cup witnesses and
     the dimension counts."""
-    checks = []
-    for rel in RELATIONS:
-        total = hhring.class_of_monomial(rel[0])
-        for m in rel[1:]:
-            total = total + hhring.class_of_monomial(m)
-        degree = hhring.monomial_degree(rel[0])
-        checks.append(Check(f"relation {relation_name(rel)} = 0 (degree {degree})", total.is_zero()))
-
-    for name, mono, expected in CUP_WITNESSES:
-        got = hhring.class_of_monomial(mono)
-        checks.append(Check(f"cup witness {name}", hhring.class_eq(got, CohomologyClass(expected))))
-
-    checks.append(Check("hh_dim(0) = 5 (center dimension)", hhring.hh_dim(0) == conjugacy_class_count()))
-    # the presentation counts dimensions without the resolution tables
-    dims = hhring.hh_dim
-    periodic = all(presentation_monomial_count(n + 4) == dims(n + 4) == dims(n) for n in (1, 2, 3))
-    checks.append(Check("hh_dim(n+4) = hh_dim(n) for n = 1..3", periodic))
-    counts = all(presentation_monomial_count(n) == hhring.hh_dim(n) for n in range(5))
-    checks.append(Check("presentation monomial counts match hh_dim, degrees 0..4", counts))
-
+    class_of, dims = hhring.class_of_monomial, hhring.hh_dim
+    checks = [
+        _check(
+            f"relation {relation_name(rel)} = 0 (degree {hhring.monomial_degree(rel[0])})",
+            lambda rel=rel: sum(map(class_of, rel[1:]), class_of(rel[0])).is_zero(),
+        )
+        for rel in RELATIONS
+    ]
+    checks += [
+        _check(
+            f"cup witness {name}",
+            lambda mono=mono, rep=rep: hhring.class_eq(class_of(mono), CohomologyClass(rep)),
+        )
+        for name, mono, rep in CUP_WITNESSES
+    ]
+    checks += [
+        _check("hh_dim(0) = 5 (center dimension)", lambda: dims(0) == conjugacy_class_count()),
+        # the presentation counts dimensions without the resolution tables
+        _check(
+            "hh_dim(n+4) = hh_dim(n) for n = 1..3",
+            lambda: all(presentation_monomial_count(n + 4) == dims(n + 4) == dims(n) for n in (1, 2, 3)),
+        ),
+        _check(
+            "presentation monomial counts match hh_dim, degrees 0..4",
+            lambda: all(presentation_monomial_count(n) == dims(n) for n in range(5)),
+        ),
+    ]
     return Report("relations", checks)
 
 
@@ -681,28 +686,44 @@ def suite_relations() -> Report:
 EXPECTED_BRACKET_NONZERO: dict[tuple[str, str], str] = hhring.EXPECTED_DELTA_NONZERO
 
 
-def _table_checks(delta: list[tuple[tuple[str, ...], CohomologyClass]]) -> list[Check]:
+def _equals_expression(c: CohomologyClass, expected: str) -> bool:
+    return hhring.class_eq(c, hhring.class_of_expression(expected, c.degree))
+
+
+def _table_checks(delta: Callable[[Monomial], CohomologyClass]) -> list[Check]:
     """Every Delta and bracket table entry against its published value, and
     every bracket entry against the BV identity
-    [a, b] = Delta(a u b) + Delta(a) u b + a u Delta(b)."""
-    checks = []
-    for args, value in delta:
-        expected = hhring.EXPECTED_DELTA_NONZERO.get(args, "0")
-        ok = hhring.class_eq(value, hhring.class_of_expression(expected, value.degree))
-        checks.append(Check(f"Delta({monomial_name(args)}) = {expected}", ok))
+    [a, b] = Delta(a u b) + Delta(a) u b + a u Delta(b); delta(args) is
+    Delta of the monomial args."""
 
-    cat = hhring.catalog()
-    for (a, b), br in hhring.bracket_table():
-        expected = EXPECTED_BRACKET_NONZERO.get((a, b), "0")
-        ok = hhring.class_eq(br, hhring.class_of_expression(expected, br.degree))
-        checks.append(Check(f"[{a}, {b}] = {expected}", ok))
+    @cache
+    def bracket(a: str, b: str) -> CohomologyClass:
+        return hhring.bracket_classes(hhring.catalog()[a], hhring.catalog()[b])
+
+    def bv_identity(a: str, b: str) -> bool:
+        cat = hhring.catalog()
         # terms with a degree-0 Delta argument vanish
         rhs = hhring.delta_or_zero(hhring.cup_classes(cat[a], cat[b]))
         if cat[a].degree >= 1:
             rhs = rhs + hhring.cup_classes(hhring.delta_class(cat[a]), cat[b])
         if cat[b].degree >= 1:
             rhs = rhs + hhring.cup_classes(cat[a], hhring.delta_class(cat[b]))
-        checks.append(Check(f"BV identity for ({a}, {b})", hhring.class_eq(br, rhs)))
+        return hhring.class_eq(bracket(a, b), rhs)
+
+    checks = []
+    for args in hhring.delta_table_inputs():
+        expected = hhring.EXPECTED_DELTA_NONZERO.get(args, "0")
+        checks.append(_check(
+            f"Delta({monomial_name(args)}) = {expected}",
+            lambda args=args, expected=expected: _equals_expression(delta(args), expected),
+        ))
+    for a, b in hhring.generator_pairs():
+        expected = EXPECTED_BRACKET_NONZERO.get((a, b), "0")
+        checks.append(_check(
+            f"[{a}, {b}] = {expected}",
+            lambda a=a, b=b, expected=expected: _equals_expression(bracket(a, b), expected),
+        ))
+        checks.append(_check(f"BV identity for ({a}, {b})", partial(bv_identity, a, b)))
     return checks
 
 
@@ -791,73 +812,59 @@ def _connes_sweep() -> tuple[list[str], list[str], list[dict[int, set[int]]]]:
     return squares, anticommutes, tables
 
 
-def _bv_table_checks() -> list[Check]:
-    """The checks of suite_bv that read the Delta and bracket tables."""
-    delta = hhring.delta_table()
-    checks = _table_checks(delta)
-
-    fails = []
-    for args, value in delta:
-        if value.degree >= 1 and not hhring.delta_class(value).is_zero():
-            fails.append(monomial_name(args))
-    checks.append(_failed("Delta o Delta = 0 on generators and computed products", fails[:3]))
-
-    for triple in (("p2", "u1", "z"), ("u1", "u1p", "v1"), ("p1", "v2", "z")):
-        checks.append(Check(f"seven-term identity on {triple}", seven_term_identity(*triple)))
-
-    cat = hhring.catalog()
-    fails = []
-    for name in hhring.GENERATOR_ORDER:
-        # delta_class reduces g*z to Delta(g)*z; the oracle is delta_matrix(|g| + 4)
-        gz = hhring.cup_classes(cat[name], cat["z"]).rep
-        lhs = CohomologyClass(MinCochain(gz.degree - 1, gf2.apply(compare.delta_matrix(gz.degree), gz.bits)))
-        if cat[name].degree >= 1:
-            rhs = hhring.cup_classes(hhring.delta_class(cat[name]), cat["z"])
-        else:
-            rhs = CohomologyClass.zero(lhs.degree)
-        if not hhring.class_eq(lhs, rhs):
-            fails.append(name)
-    checks.append(_failed("z-periodicity of Delta on all generators", fails))
-    return checks
-
-
-def _bv_chain_checks() -> list[Check]:
-    """The checks of suite_bv on Hochschild chains, which read no table."""
-    squares, anticommutes, connes_images = _connes_sweep()
-    checks = [
-        _failed("Connes operator squares to zero, chain degrees 0..3", squares),
-        _failed("boundary anticommutes with Connes operator, degrees 0..3", anticommutes),
-    ]
-
-    cat = hhring.catalog()
-    duals = [
-        ("u1", cat["u1"].rep), ("u1p", cat["u1p"].rep),
-        ("v1", cat["v1"].rep), ("v2", cat["v2"].rep), ("v2p", cat["v2p"].rep),
-        ("u1*v2", hhring.class_of_monomial(("u1", "v2")).rep),
-        ("u1^3", hhring.class_of_monomial(("u1", "u1", "u1")).rep),
-    ]
-    fails = []
-    for name, rep in duals:
-        f = bar.transport_to_bar(rep)
-        df = bar.bv_delta(f)
-        r = rep.degree - 1
-        for t, image in connes_images[r].items():
-            head, mids = bar.unpack(t, r)
-            lhs = PRODUCTS[RIGHT_MUL | head << 8 | df.mask(mids)] >> XYXY & 1  # <df(mids), head>
-            # the parity of <f(mids of u), 1> over the terms u of B(t)
-            rhs = sum(f.mask(bar.unpack(u, r + 1)[1]) >> algebra.XYXY for u in image) & 1
-            if lhs != rhs:
-                fails.append(name)
-                break
-    checks.append(_failed("Delta is dual to the Connes operator for transported cocycles", fails))
-    return checks
-
-
 def suite_bv() -> Report:
     """The Delta and bracket tables with their identities, then the Connes
-    chain checks; either part that raises becomes one failing check and the
-    other still runs."""
-    return Report("bv", _guarded("bv", _bv_table_checks) + _guarded("bv", _bv_chain_checks))
+    chain checks, which read no table."""
+    delta = cache(lambda args: hhring.delta_or_zero(hhring.class_of_monomial(args)))
+    sweep = cache(_connes_sweep)
+
+    def delta_squares_vanish() -> Iterator[str]:
+        for args in hhring.delta_table_inputs():
+            value = delta(args)
+            if value.degree >= 1 and not hhring.delta_class(value).is_zero():
+                yield monomial_name(args)
+
+    def z_periodic() -> Iterator[str]:
+        cat = hhring.catalog()
+        for name in hhring.GENERATOR_ORDER:
+            # delta_class reduces g*z to Delta(g)*z; the oracle is delta_matrix(|g| + 4)
+            gz = hhring.cup_classes(cat[name], cat["z"]).rep
+            lhs = CohomologyClass(MinCochain(gz.degree - 1, gf2.apply(compare.delta_matrix(gz.degree), gz.bits)))
+            if cat[name].degree >= 1:
+                rhs = hhring.cup_classes(hhring.delta_class(cat[name]), cat["z"])
+            else:
+                rhs = CohomologyClass.zero(lhs.degree)
+            if not hhring.class_eq(lhs, rhs):
+                yield name
+
+    def dual_to_connes() -> Iterator[str]:
+        connes_images = sweep()[2]
+        for mono in (("u1",), ("u1p",), ("v1",), ("v2",), ("v2p",), ("u1", "v2"), ("u1", "u1", "u1")):
+            rep = hhring.class_of_monomial(mono).rep
+            f = bar.transport_to_bar(rep)
+            df = bar.bv_delta(f)
+            r = rep.degree - 1
+            for t, image in connes_images[r].items():
+                head, mids = bar.unpack(t, r)
+                lhs = PRODUCTS[RIGHT_MUL | head << 8 | df.mask(mids)] >> XYXY & 1  # <df(mids), head>
+                # the parity of <f(mids of u), 1> over the terms u of B(t)
+                rhs = sum(f.mask(bar.unpack(u, r + 1)[1]) >> algebra.XYXY for u in image) & 1
+                if lhs != rhs:
+                    yield monomial_name(mono)
+                    break
+
+    return Report("bv", [
+        *_table_checks(delta),
+        _check("Delta o Delta = 0 on generators and computed products", delta_squares_vanish),
+        *(
+            _check(f"seven-term identity on {triple}", partial(seven_term_identity, *triple))
+            for triple in (("p2", "u1", "z"), ("u1", "u1p", "v1"), ("p1", "v2", "z"))
+        ),
+        _check("z-periodicity of Delta on all generators", z_periodic),
+        _check("Connes operator squares to zero, chain degrees 0..3", lambda: sweep()[0]),
+        _check("boundary anticommutes with Connes operator, degrees 0..3", lambda: sweep()[1]),
+        _check("Delta is dual to the Connes operator for transported cocycles", dual_to_connes),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -874,20 +881,12 @@ SUITES: dict[str, Callable[[], Report]] = {
 }
 
 
-def _guarded(suite: str, checks: Callable[[], list[Check]]) -> list[Check]:
-    """checks(), or one failing check naming the suite and the exception it raised."""
-    try:
-        return checks()
-    except Exception as exc:
-        return [Check(f"{suite} suite raised {type(exc).__name__}", False, str(exc))]
-
-
-def _suite_checks(name: str) -> list[Check]:
-    return _guarded(name, lambda: SUITES[name]().checks)
-
-
 def run_suite(name: str) -> Report:
-    """The report of one suite, or of every suite in order for "all"."""
-    if name == "all":
-        return Report("all", [c for suite in SUITES for c in _suite_checks(suite)])
-    return Report(name, _suite_checks(name))
+    """One suite's report, or all in order; a suite that raises outside its checks fails by name."""
+    checks = []
+    for suite in SUITES if name == "all" else (name,):
+        try:
+            checks += SUITES[suite]().checks
+        except Exception as exc:
+            checks.append(Check(f"{suite} suite raised {type(exc).__name__}", False, str(exc)))
+    return Report(name, checks)

@@ -216,7 +216,11 @@ def class_of_monomial(m: Monomial) -> CohomologyClass:
     The empty monomial is the unit class, the constant-1 cocycle in degree 0;
     a longer one is its memoized prefix times its last generator, one cup
     product.  A z past the first only relabels the degree; no memo key has two.
+    Raises ValueError naming a factor that is not a generator.
     """
+    for g in m:
+        if g not in GENERATOR_DEGREES:
+            raise ValueError(f"monomial {m!r}: unknown generator {g!r}")
     if not m:
         return CohomologyClass(MinCochain.of(0, (ONE,)))
     extra = m.count("z") - 1

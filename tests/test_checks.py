@@ -3,7 +3,9 @@ nothing of the bar oracle or the suites, the table and dims commands never
 load the suites, each suite is its slice of `verify all`, and the table
 script writes the golden tables.  The Connes chain checks and the
 periodicity check fail on mutants of what they check, one bv suite computes
-each chain image once, and a suite that raises fails by name.  The psi
+each chain image once, a check that raises fails alone and by name, a suite
+that raises outside its checks fails by name, and a check keeps its first
+three counterexamples.  The psi
 chain-map check sums psi over the faces of 1 (x) mids (x) 1, which is psi of
 its bar differential, and fails by tuple on a corrupted homotopy table."""
 
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from q8bv import bar, checks, cli, compare, hhring, minres
-from q8bv.algebra import MONO_MUL, UNIT, X, Y, YX
+from q8bv.algebra import MONO_MUL, UNIT, X, Y, YX, AlgebraElement
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "q8bv"
@@ -257,9 +259,10 @@ def test_the_anticommutation_check_fails_without_the_wrap_around_face(monkeypatc
 
 def test_a_suite_that_raises_fails_by_name_and_the_other_suites_still_run(monkeypatch, capsys):
     """Without the first term of t1(yx (x) x (x) 1) the homotopy checks fail
-    by name and the table part of the bv suite raises on a representative
-    that is not a cocycle; verify all still prints both verdicts and the
-    bv chain checks, and returns 1."""
+    by name and some bv table checks raise on a representative that is not a
+    cocycle; verify all still prints every golden check name in order, each
+    check that raises failing alone under its own name, the bv chain checks
+    passing, and returns 1."""
     tables = list(minres.HOMOTOPY_TABLES)
     broken = dict(tables[1])
     broken[(YX, 0)] = broken[(YX, 0)][1:]
@@ -274,18 +277,51 @@ def test_a_suite_that_raises_fails_by_name_and_the_other_suites_still_run(monkey
         hhring.clear_caches()
     assert code == 1
     lines = out.splitlines()
+    assert lines[-1] == "suite all: FAIL"
+    golden = json.loads((GOLDEN / "verify_checks.json").read_text())
+    assert [line.split(": ", 1)[1].partition("  (")[0] for line in lines[:-1]] == golden
+    assert not any("suite raised" in line for line in lines)
     assert homotopy
     for name in homotopy:
         assert any(line.startswith(f"[FAIL] all: {name}  (") for line in lines), name
-    assert any(line.startswith("[FAIL] all: bv suite raised ValueError  (") for line in lines)
-    # the chain checks of the bv suite read no table and still run
+    bv = lines[golden.index("Delta(p1) = 0") : -1]
+    raised = "  (raised ValueError: representative is not a cocycle)"
+    assert any(line.startswith("[FAIL]") and line.endswith(raised) for line in bv)
+    # the chain checks of the bv suite read no table and still pass
     for name in (
         "Connes operator squares to zero, chain degrees 0..3",
         "boundary anticommutes with Connes operator, degrees 0..3",
         "Delta is dual to the Connes operator for transported cocycles",
     ):
-        assert f"[PASS] all: {name}" in lines, name
-    assert lines[-1] == "suite all: FAIL"
+        assert f"[PASS] all: {name}" in bv, name
+
+
+def test_a_suite_that_raises_outside_its_checks_fails_by_name(monkeypatch, capsys):
+    """run_suite catches what a suite raises outside its checks: one failing
+    check names the suite, and every check of the other suites still runs."""
+    relations = {check.name for check in checks.suite_relations().checks}
+
+    def boom():
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(checks.SUITES, "relations", boom)
+    code, out = run(capsys, "verify", "all")
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if not line.startswith("[PASS]")] == [
+        "[FAIL] all: relations suite raised RuntimeError  (boom)",
+        "suite all: FAIL",
+    ]
+    golden = json.loads((GOLDEN / "verify_checks.json").read_text())
+    passed = [line.removeprefix("[PASS] all: ") for line in lines if line.startswith("[PASS]")]
+    assert passed == [name for name in golden if name not in relations]
+
+
+def test_a_check_keeps_its_first_three_counterexamples(monkeypatch):
+    for b in list(checks.U1_TRANSPORT_TABLE):
+        monkeypatch.setitem(checks.U1_TRANSPORT_TABLE, b, AlgebraElement.zero())
+    [check] = [c for c in checks.suite_comparison().checks if not c.passed]
+    assert (check.name, check.detail) == ("degree-1 transport table for u1 (7 monomials)", "x; y; xy")
 
 
 def test_the_periodicity_check_reads_the_presentation(monkeypatch):

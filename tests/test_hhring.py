@@ -1,6 +1,7 @@
 """Class arithmetic, the generator catalog, relations, and the structure tables."""
 
 import random
+import re
 from functools import cache
 
 import pytest
@@ -276,7 +277,7 @@ def test_relations_all_vanish():
 
 def test_structure_tables_all_pass():
     delta = hhring.delta_table()
-    table_checks = checks._table_checks(delta)
+    table_checks = checks._table_checks(dict(delta).__getitem__)
     assert all(c.passed for c in table_checks)
     bracket = hhring.bracket_table()
     assert len(table_checks) == len(delta) + 2 * len(bracket)
@@ -345,6 +346,12 @@ def test_render_and_parse_round_trip_on_every_product_bracket_and_delta_of_basis
 def test_class_of_expression_names_the_bad_term(expr, message):
     with pytest.raises(ValueError, match=message):
         class_of_expression(expr, 1)
+
+
+@pytest.mark.parametrize("mono", [("w",), ("u1", "w"), ("w", "u1"), ("w", "z", "z")])
+def test_class_of_monomial_names_an_unknown_generator(mono):
+    with pytest.raises(ValueError, match=rf"^monomial {re.escape(repr(mono))}: unknown generator 'w'$"):
+        class_of_monomial(mono)
 
 
 def test_class_of_expression_reads_the_unit_monomial():
