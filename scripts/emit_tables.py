@@ -6,7 +6,7 @@ Usage: python scripts/emit_tables.py [outdir]   (default: build/tables)
 import pathlib
 import sys
 
-from q8bv import cli, hhring
+from q8bv import cli
 
 
 def main() -> int:
@@ -16,8 +16,7 @@ def main() -> int:
         entries = cli.table_entries(kind)
         (outdir / f"{kind}.md").write_text(cli.render_table_markdown(kind, entries))
         (outdir / f"{kind}.json").write_text(cli.render_table_json(kind, entries))
-    dims = "".join(f"HH^{n}: {hhring.hh_dim(n)}\n" for n in range(cli.DIMS_DEFAULT + 1))
-    (outdir / "dims.txt").write_text(dims)
+    (outdir / "dims.txt").write_text(cli.render_dims(cli.DIMS_DEFAULT))
     print(f"wrote {3 * 2 + 1} files to {outdir}")
     return 0
 

@@ -10,7 +10,7 @@ every degree by z-periodicity (hhring).  Apart stand the oracles, which
 importing the package does not load: the bar complex with its cochain
 operations and the transports along phi and psi (bar), the verification
 suites with the GF(4) group-algebra oracle (checks), and the command line
-(cli), which loads the suites for verify alone.
+(cli), which loads the suites for verify alone and formats all output.
 
 The package re-exports the class-ring API; everything else is imported from
 its module.

@@ -13,11 +13,13 @@ group-algebra oracle of the multiplication table, whose pullback eliminates
 through gf2 like every other rank and reduction here, and the augmentation
 and the splitting rho and retraction tau of the homotopy identities.
 
-Every check is built by _check: it keeps its first three counterexamples,
-and an exception raised inside it fails that check alone, by name, with the
-exception as its detail.  Values several checks read are memoized for one
-run of their suite.  run_suite turns a suite that raises outside its checks
-into one failing check named after the suite.
+Every check is a Check value built by _check: it keeps its first three
+counterexamples, and an exception raised inside it fails that check alone,
+by name, with the exception as its detail.  Values several checks read are
+memoized for one run of their suite.  Each suite returns its list of checks
+and run_suite joins the lists of the suites it runs, turning a suite that
+raises outside its checks into one failing check named after the suite;
+q8bv.cli renders the list as text or JSON.
 """
 from __future__ import annotations
 
@@ -58,7 +60,14 @@ from .minres import (
     homotopy_t,
     min_differential,
 )
-from .report import Check, Report
+from .value import Value
+
+
+class Check(Value):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = "") -> None:
+        super().__init__(name, passed, detail)
 
 
 def _check(name: str, compute: Callable[[], bool | Iterable[str]]) -> Check:
@@ -201,7 +210,7 @@ def conjugacy_class_count() -> int:
     return len({frozenset(table[table[h][g]][inverse[h]] for h in range(8)) for g in range(8)})
 
 
-def suite_algebra() -> Report:
+def suite_algebra() -> list[Check]:
     """The multiplication table against the group-algebra oracle, and the
     axioms of the algebra and of its symmetrizing form."""
 
@@ -224,7 +233,7 @@ def suite_algebra() -> Report:
     def form(a: int, b: int) -> int:
         return algebra.bilinear_form(mono[a], mono[b])
 
-    return Report("algebra", [
+    return [
         _check("multiplication table agrees with group-algebra oracle (64 products)", oracle_agrees),
         _check("associativity on all 512 basis triples", lambda: all(lhs == rhs for lhs, rhs in sides())),
         _check(
@@ -249,7 +258,7 @@ def suite_algebra() -> Report:
             lambda: tuple(map(dual_basis, range(8))) == (7, 6, 5, 3, 4, 2, 1, 0)
             and all(dual_basis(dual_basis(i)) == i for i in range(8)),
         ),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +303,7 @@ def _arg_name(degree: int, b: int, slot: int) -> str:
     return f"{BASIS_NAMES[b]}(x){SLOT_NAMES[degree % 4][slot]}(x)1"
 
 
-def suite_homotopy() -> Report:
+def suite_homotopy() -> list[Check]:
     """Every weak self-homotopy identity on all generator-by-basis arguments."""
 
     def moved_by(f: Callable[[AlgebraElement], AlgebraElement]) -> Iterator[str]:
@@ -320,13 +329,13 @@ def suite_homotopy() -> Report:
                 if homotopy_t(p + 1, homotopy_t(p, e)):
                     yield f"t{p + 1} t{p} on {_arg_name(p, b, slot)}"
 
-    return Report("homotopy", [
+    return [
         _check("d0 t(-1) = Id", lambda: moved_by(lambda a: augmentation(homotopy_t(-1, a)))),
         *(_check(f"d{p + 1} t{p} + t{p - 1} d{p} = Id", partial(contracts, p)) for p in range(3)),
         _check("t2 d3 + rho tau = Id", partial(contracts, 3)),
         _check("tau rho = Id", lambda: moved_by(lambda a: tau(rho(a)))),
         _check("t(i+1) t(i) = 0", squares_vanish),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +503,7 @@ def _psi3_cyclic_sum(pattern: tuple[str, str, str], b_word: str) -> MinResElemen
     return psi(3, (b, s, t)) + psi(3, (t, b, s)) + psi(3, (s, t, b))
 
 
-def suite_comparison() -> Report:
+def suite_comparison() -> list[Check]:
     """Chain-map identities for phi and psi, psi o phi = Id, and the
     low-degree reference tables.
 
@@ -542,7 +551,7 @@ def suite_comparison() -> Report:
                 if _psi3_cyclic_sum(pattern, b_word) + MinResElement.of(3, pairs):
                     yield f"{pattern} at b={b_word}"
 
-    return Report("comparison", [
+    return [
         _check("phi chain map, degrees 1..6", phi_commutes),
         _check("psi chain map, degrees 1..3 exhaustive", psi_commutes_exhaustively),
         _check("psi chain map, degrees 4..6 on phi-image tuples", psi_commutes_on_phi_images),
@@ -553,7 +562,7 @@ def suite_comparison() -> Report:
             for name, table in (("u1", U1_TRANSPORT_TABLE), ("u1p", U1P_TRANSPORT_TABLE))
         ),
         _check("psi_3 cyclic-sum rows match the degree-3 tables", psi3_rows_match),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +651,7 @@ CUP_WITNESSES: tuple[tuple[str, Monomial, MinCochain], ...] = (
 )
 
 
-def suite_relations() -> Report:
+def suite_relations() -> list[Check]:
     """Every listed relation as an iterated cup product, the cup witnesses and
     the dimension counts."""
     class_of, dims = hhring.class_of_monomial, hhring.hh_dim
@@ -672,7 +681,7 @@ def suite_relations() -> Report:
             lambda: all(presentation_monomial_count(n) == dims(n) for n in range(5)),
         ),
     ]
-    return Report("relations", checks)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +821,7 @@ def _connes_sweep() -> tuple[list[str], list[str], list[dict[int, set[int]]]]:
     return squares, anticommutes, tables
 
 
-def suite_bv() -> Report:
+def suite_bv() -> list[Check]:
     """The Delta and bracket tables with their identities, then the Connes
     chain checks, which read no table."""
     delta = cache(lambda args: hhring.delta_or_zero(hhring.class_of_monomial(args)))
@@ -853,7 +862,7 @@ def suite_bv() -> Report:
                     yield monomial_name(mono)
                     break
 
-    return Report("bv", [
+    return [
         *_table_checks(delta),
         _check("Delta o Delta = 0 on generators and computed products", delta_squares_vanish),
         *(
@@ -864,7 +873,7 @@ def suite_bv() -> Report:
         _check("Connes operator squares to zero, chain degrees 0..3", lambda: sweep()[0]),
         _check("boundary anticommutes with Connes operator, degrees 0..3", lambda: sweep()[1]),
         _check("Delta is dual to the Connes operator for transported cocycles", dual_to_connes),
-    ])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +881,7 @@ def suite_bv() -> Report:
 # ---------------------------------------------------------------------------
 
 #: the suites in the order `verify all` runs them
-SUITES: dict[str, Callable[[], Report]] = {
+SUITES: dict[str, Callable[[], list[Check]]] = {
     "algebra": suite_algebra,
     "homotopy": suite_homotopy,
     "comparison": suite_comparison,
@@ -881,12 +890,12 @@ SUITES: dict[str, Callable[[], Report]] = {
 }
 
 
-def run_suite(name: str) -> Report:
-    """One suite's report, or all in order; a suite that raises outside its checks fails by name."""
+def run_suite(name: str) -> list[Check]:
+    """One suite's checks, or every suite's in order; a suite that raises outside its checks fails by name."""
     checks = []
     for suite in SUITES if name == "all" else (name,):
         try:
-            checks += SUITES[suite]().checks
+            checks += SUITES[suite]()
         except Exception as exc:
             checks.append(Check(f"{suite} suite raised {type(exc).__name__}", False, str(exc)))
-    return Report(name, checks)
+    return checks

@@ -1,16 +1,18 @@
-"""Command-line surface: runs the suites of q8bv.checks (imported by verify
-alone), emits structure tables, lists dimensions.
+"""Command-line surface, and the one module that formats output: the
+verdict of the suites of q8bv.checks (imported by verify alone) as text or
+JSON, the structure tables of q8bv.hhring as markdown or JSON, and the
+dimension lines.  checks and hhring return plain rows; only this module
+turns them into text.
 
 Exit codes: 0 everything passed, 1 a verification check failed, 2 usage error,
 141 the reader of stdout closed it early (as after SIGPIPE; the rest of the
 output is dropped and no traceback is printed).
-All output is deterministic; JSON table output is canonical (sorted keys,
-fixed separators), so parsing and re-rendering is byte-identical.
+All output is deterministic; JSON output is canonical (sorted keys, fixed
+separators), so parsing and re-rendering is byte-identical.
 """
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -24,50 +26,66 @@ DIMS_MAX = 1000  # largest --max of dims; the class ring itself has no degree ca
 
 
 # ---------------------------------------------------------------------------
-# Tables
+# Rendering
 # ---------------------------------------------------------------------------
 
 
+def _canonical_json(obj: object) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def render_verdict(suite: str, results: list, as_json: bool) -> str:
+    """The verdict of verify suite on its checks (q8bv.checks.Check values):
+    one line per check and a closing suite line, or one JSON object."""
+    passed = all(c.passed for c in results)
+    if as_json:
+        rows = [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in results]
+        return _canonical_json({"suite": suite, "passed": passed, "checks": rows})
+    lines = []
+    for c in results:
+        line = f"[{'PASS' if c.passed else 'FAIL'}] {suite}: {c.name}"
+        if c.detail and not c.passed:
+            line += f"  ({c.detail})"
+        lines.append(line)
+    lines.append(f"suite {suite}: {'PASS' if passed else 'FAIL'}")
+    return "\n".join(lines) + "\n"
+
+
 def table_entries(kind: str) -> list[dict]:
-    entries = []
-    if kind == "delta":
-        for args, value in hhring.delta_table():
-            entries.append({"args": list(args), "value": hhring.render_class(value)})
-    elif kind == "bracket":
-        for args, value in hhring.bracket_table():
-            entries.append({"args": list(args), "value": hhring.render_class(value)})
-    elif kind == "cup":
-        cat = hhring.catalog()
-        for a, b in itertools.combinations_with_replacement(hhring.GENERATOR_ORDER, 2):
-            value = hhring.cup_classes(cat[a], cat[b])
-            entries.append({
-                "args": [a, b],
-                "value": hhring.render_class(value),
-                "witness": str(hhring.canonical_rep(value)),
-            })
-    else:
+    """The rows of one structure table with their values rendered; a cup row
+    also carries the canonical representative of its value as its witness."""
+    row_functions = {"delta": hhring.delta_table, "bracket": hhring.bracket_table, "cup": hhring.cup_table}
+    if kind not in row_functions:
         raise ValueError(f"unknown table kind {kind!r}")
+    entries = []
+    for args, value in row_functions[kind]():
+        entry = {"args": list(args), "value": hhring.render_class(value)}
+        if kind == "cup":
+            entry["witness"] = str(hhring.canonical_rep(value))
+        entries.append(entry)
     return entries
 
 
 def render_table_json(kind: str, entries: list[dict]) -> str:
-    return json.dumps({"kind": kind, "entries": entries}, sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical_json({"kind": kind, "entries": entries})
 
 
 def render_table_markdown(kind: str, entries: list[dict]) -> str:
     lines = [f"# {kind} table", ""]
-    if kind == "delta":
-        for e in entries:
-            lines.append(f"- D({'*'.join(e['args'])}) = {e['value']}")
-    elif kind == "bracket":
-        for e in entries:
-            a, b = e["args"]
-            lines.append(f"- [{a}, {b}] = {e['value']}")
-    else:
-        for e in entries:
-            a, b = e["args"]
-            lines.append(f"- {a}*{b} = {e['value']}  (witness {e['witness']})")
+    for e in entries:
+        args, value = e["args"], e["value"]
+        if kind == "delta":
+            lines.append(f"- D({'*'.join(args)}) = {value}")
+        elif kind == "bracket":
+            lines.append(f"- [{args[0]}, {args[1]}] = {value}")
+        else:
+            lines.append(f"- {args[0]}*{args[1]} = {value}  (witness {e['witness']})")
     return "\n".join(lines) + "\n"
+
+
+def render_dims(max_degree: int) -> str:
+    """One line HH^n: dim for each degree n = 0..max_degree."""
+    return "".join(f"HH^{n}: {hhring.hh_dim(n)}\n" for n in range(max_degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +141,9 @@ def _run(argv: Sequence[str] | None) -> int:
         if args.suite not in (*checks.SUITES, "all"):
             print(f"verify: suite must be one of {', '.join(checks.SUITES)}, all", file=sys.stderr)
             return 2
-        report = checks.run_suite(args.suite)
-        if args.json:
-            print(json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":")))
-        else:
-            print(report.render())
-        return 0 if report.passed else 1
+        results = checks.run_suite(args.suite)
+        sys.stdout.write(render_verdict(args.suite, results, args.json))
+        return 0 if all(c.passed for c in results) else 1
 
     if args.command == "table":
         entries = table_entries(args.kind)
@@ -142,8 +157,7 @@ def _run(argv: Sequence[str] | None) -> int:
         if not 0 <= args.max_degree <= DIMS_MAX:
             print(f"dims: --max must be between 0 and {DIMS_MAX}", file=sys.stderr)
             return 2
-        for n in range(args.max_degree + 1):
-            print(f"HH^{n}: {hhring.hh_dim(n)}")
+        sys.stdout.write(render_dims(args.max_degree))
         return 0
 
     return 2

@@ -17,9 +17,12 @@ so a class of degree n >= 5 has the int of a class of residue degree
 (n - 1) % 4 + 1 times a power of z.  As Delta(z) = 0 and [x, z] = 0, cup,
 bracket and Delta run in residue degrees (the diagonal up to degree 8,
 delta_matrix of 1..4 only) and relabel the result, and every per-degree
-cache is keyed by residue.  The generator catalog and the nonzero Delta
-entries are the only published data here; the values the suites check
-against are in q8bv.checks.
+cache is keyed by residue.  The class of a monomial folds in a loop from
+its longest memoized prefix, one cup per new prefix.  The Delta, bracket
+and cup tables are returned as plain rows of arguments and classes, which
+q8bv.cli renders.  The generator catalog and the nonzero Delta entries are
+the only published data here; the values the suites check against are in
+q8bv.checks.
 """
 from __future__ import annotations
 
@@ -213,10 +216,11 @@ _MONOMIAL_CLASS_MEMO: dict[Monomial, CohomologyClass] = {}
 def class_of_monomial(m: Monomial) -> CohomologyClass:
     """Iterated cup product of catalog generators (left fold, memoized).
 
-    The empty monomial is the unit class, the constant-1 cocycle in degree 0;
-    a longer one is its memoized prefix times its last generator, one cup
-    product.  A z past the first only relabels the degree; no memo key has two.
-    Raises ValueError naming a factor that is not a generator.
+    The empty monomial is the unit class, the constant-1 cocycle in degree 0.
+    A longer one is folded in a loop, not by recursion, from its longest
+    memoized prefix (or its first generator): one cup product and one memo
+    entry per new prefix.  A z past the first only relabels the degree; no
+    memo key has two.  Raises ValueError naming a factor that is not a generator.
     """
     for g in m:
         if g not in GENERATOR_DEGREES:
@@ -227,11 +231,13 @@ def class_of_monomial(m: Monomial) -> CohomologyClass:
     if extra > 0:
         base = class_of_monomial(tuple(g for g in m if g != "z") + ("z",))
         return _times_z(base.rep, extra)
-    cached = _MONOMIAL_CLASS_MEMO.get(m)
-    if cached is None:
-        cached = catalog()[m[0]] if len(m) == 1 else cup_classes(class_of_monomial(m[:-1]), catalog()[m[-1]])
-        _MONOMIAL_CLASS_MEMO[m] = cached
-    return cached
+    k = len(m)
+    while k > 1 and m[:k] not in _MONOMIAL_CLASS_MEMO:
+        k -= 1
+    cls = _MONOMIAL_CLASS_MEMO.setdefault(m[:k], catalog()[m[0]])
+    for i in range(k, len(m)):
+        cls = _MONOMIAL_CLASS_MEMO[m[: i + 1]] = cup_classes(cls, catalog()[m[i]])
+    return cls
 
 
 def class_of_expression(expr: str, degree: int) -> CohomologyClass:
@@ -342,6 +348,13 @@ def bracket_table() -> list[tuple[tuple[str, str], CohomologyClass]]:
     """The bracket on each of the 45 generator pairs, in catalog order."""
     cat = catalog()
     return [((a, b), bracket_classes(cat[a], cat[b])) for a, b in generator_pairs()]
+
+
+def cup_table() -> list[tuple[tuple[str, str], CohomologyClass]]:
+    """The cup product on each of the 55 generator pairs, squares included, in catalog order."""
+    cat = catalog()
+    pairs = itertools.combinations_with_replacement(GENERATOR_ORDER, 2)
+    return [((a, b), cup_classes(cat[a], cat[b])) for a, b in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_criterion_1_algebra_suite():
 
 def test_criterion_2_homotopy_suite():
     report = checks.suite_homotopy()
-    names = {c.name: c for c in report.checks}
+    names = {c.name: c for c in report}
     for required in (
         "d0 t(-1) = Id",
         "d1 t0 + t-1 d0 = Id",
@@ -136,7 +136,7 @@ def test_criterion_4_transport_spot_oracles():
 
 
 def test_criterion_5_presentation_suite():
-    relations = [c for c in checks.suite_relations().checks if c.name.startswith("relation ")]
+    relations = [c for c in checks.suite_relations() if c.name.startswith("relation ")]
     assert len(relations) == 36
     for check in relations:
         assert check.passed, check.name

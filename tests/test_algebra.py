@@ -169,7 +169,7 @@ def test_table_disagreement_fails_the_oracle_check_by_name(monkeypatch):
     monkeypatch.setattr(algebra, "MONO_MUL", broken)
     monkeypatch.setattr(checks, "MONO_MUL", broken)
     report = checks.run_suite("algebra")
-    failed = [c.name for c in report.checks if not c.passed]
+    failed = [c.name for c in report if not c.passed]
     assert "multiplication table agrees with group-algebra oracle (64 products)" in failed
 
 

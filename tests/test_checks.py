@@ -118,7 +118,7 @@ def test_table_and_dims_load_neither_the_oracle_nor_dataclasses(argv):
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    code = cli.main({argv!r})\n"
         )
-    oracle = {"q8bv.bar", "q8bv.checks", "q8bv.report", "dataclasses", "inspect"}
+    oracle = {"q8bv.bar", "q8bv.checks", "dataclasses", "inspect"}
     script = f"import contextlib, io, sys\n{command}print(code, sorted({oracle!r} & set(sys.modules)))\n"
     assert fresh_interpreter(script) == "0 []\n"
 
@@ -167,8 +167,8 @@ def test_emit_tables_writes_the_golden_tables_and_the_dims(tmp_path, capsys):
     assert (tmp_path / "dims.txt").read_text() == out
 
 
-def failing(report):
-    return {check.name for check in report.checks if not check.passed}
+def failing(results):
+    return {check.name for check in results if not check.passed}
 
 
 ANTICOMMUTES = "boundary anticommutes with Connes operator, degrees 0..3"
@@ -299,7 +299,7 @@ def test_a_suite_that_raises_fails_by_name_and_the_other_suites_still_run(monkey
 def test_a_suite_that_raises_outside_its_checks_fails_by_name(monkeypatch, capsys):
     """run_suite catches what a suite raises outside its checks: one failing
     check names the suite, and every check of the other suites still runs."""
-    relations = {check.name for check in checks.suite_relations().checks}
+    relations = {check.name for check in checks.suite_relations()}
 
     def boom():
         raise RuntimeError("boom")
@@ -320,7 +320,7 @@ def test_a_suite_that_raises_outside_its_checks_fails_by_name(monkeypatch, capsy
 def test_a_check_keeps_its_first_three_counterexamples(monkeypatch):
     for b in list(checks.U1_TRANSPORT_TABLE):
         monkeypatch.setitem(checks.U1_TRANSPORT_TABLE, b, AlgebraElement.zero())
-    [check] = [c for c in checks.suite_comparison().checks if not c.passed]
+    [check] = [c for c in checks.suite_comparison() if not c.passed]
     assert (check.name, check.detail) == ("degree-1 transport table for u1 (7 monomials)", "x; y; xy")
 
 
@@ -365,7 +365,7 @@ def test_the_psi_chain_map_check_fails_on_a_dropped_t1_term(monkeypatch):
     finally:
         monkeypatch.undo()
         hhring.clear_caches()
-    assert {c.name: c.detail for c in report.checks if not c.passed} == {
+    assert {c.name: c.detail for c in report if not c.passed} == {
         "psi chain map, degrees 1..3 exhaustive": "degree 2 tuple (4, 1); degree 2 tuple (4, 3); degree 2 tuple (4, 5)",
         "psi_3 cyclic-sum rows match the degree-3 tables": "('b', 'x', 'y') at b=yx",
     }

@@ -116,6 +116,20 @@ def test_verify_reports_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_a_failing_check_renders_its_detail_and_fails_the_suite(monkeypatch, capsys):
+    from q8bv import checks
+    from q8bv.algebra import AlgebraElement
+
+    for b in list(checks.U1_TRANSPORT_TABLE):
+        monkeypatch.setitem(checks.U1_TRANSPORT_TABLE, b, AlgebraElement.zero())
+    code, out = run(capsys, "verify", "comparison")
+    assert code == 1
+    assert [line for line in out.splitlines() if not line.startswith("[PASS] comparison: ")] == [
+        "[FAIL] comparison: degree-1 transport table for u1 (7 monomials)  (x; y; xy)",
+        "suite comparison: FAIL",
+    ]
+
+
 def test_dims_past_the_old_cap_repeat_with_period_4(capsys):
     code, out = run(capsys, "dims", "--max", "40")
     assert code == 0

@@ -1,6 +1,6 @@
-"""Golden outputs of the benchmark: tables byte for byte, the verify check
-names, every deep cup and bracket query and a fixed slice of the deep Delta
-queries."""
+"""Golden outputs of the benchmark: tables byte for byte, in JSON and in
+markdown, the verify verdict byte for byte as text and as JSON, every deep
+cup and bracket query and a fixed slice of the deep Delta queries."""
 
 import json
 from pathlib import Path
@@ -31,6 +31,39 @@ def test_verify_all_runs_the_golden_checks_and_passes(capsys):
     names = [c["name"] for c in report["checks"]]
     assert names == json.loads((GOLDEN / "verify_checks.json").read_text())
     assert all(c["passed"] for c in report["checks"])
+
+
+def golden_names():
+    return json.loads((GOLDEN / "verify_checks.json").read_text())
+
+
+def test_verify_all_text_matches_the_golden_names(capsys):
+    code, out = run(capsys, "verify", "all")
+    assert code == 0
+    assert out == "".join(f"[PASS] all: {name}\n" for name in golden_names()) + "suite all: PASS\n"
+
+
+def test_verify_all_json_matches_the_golden_names(capsys):
+    code, out = run(capsys, "verify", "all", "--json")
+    assert code == 0
+    checks = [{"detail": "", "name": name, "passed": True} for name in golden_names()]
+    verdict = {"checks": checks, "passed": True, "suite": "all"}
+    assert out == json.dumps(verdict, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+MARKDOWN_ROWS = {
+    "delta": lambda e: f"- D({'*'.join(e['args'])}) = {e['value']}",
+    "bracket": lambda e: f"- [{e['args'][0]}, {e['args'][1]}] = {e['value']}",
+    "cup": lambda e: f"- {e['args'][0]}*{e['args'][1]} = {e['value']}  (witness {e['witness']})",
+}
+
+
+@pytest.mark.parametrize("kind", ["cup", "delta", "bracket"])
+def test_table_markdown_matches_the_golden_entries(capsys, kind):
+    code, out = run(capsys, "table", kind)
+    assert code == 0
+    entries = json.loads((GOLDEN / f"table_{kind}.json").read_text())["entries"]
+    assert out == f"# {kind} table\n\n" + "".join(MARKDOWN_ROWS[kind](e) + "\n" for e in entries)
 
 
 def answer(key: str) -> str:

@@ -145,8 +145,8 @@ def test_tau_rho_identity():
 
 def test_verify_homotopy_passes():
     report = checks.suite_homotopy()
-    assert report.passed
-    assert len(report.checks) == 7
+    assert all(c.passed for c in report)
+    assert len(report) == 7
 
 
 def test_fault_injected_t1_fails_with_counterexample(monkeypatch):
@@ -156,8 +156,8 @@ def test_fault_injected_t1_fails_with_counterexample(monkeypatch):
     tables[1] = broken
     monkeypatch.setattr(minres, "HOMOTOPY_TABLES", tuple(tables))
     report = checks.suite_homotopy()
-    assert not report.passed
-    failed = [c for c in report.checks if not c.passed]
+    assert not all(c.passed for c in report)
+    failed = [c for c in report if not c.passed]
     assert any("d2 t1 + t0 d1" in c.name for c in failed)
     target = next(c for c in failed if "d2 t1 + t0 d1" in c.name)
     assert "x(x)x(x)1" in target.detail

@@ -7,7 +7,7 @@ from q8bv import hhring
 from q8bv.algebra import AlgebraElement
 from q8bv.compare import BarChain
 from q8bv.minres import MinCochain, MinResElement
-from q8bv.report import Check, Report
+from q8bv.checks import Check
 
 VALUES = [
     AlgebraElement(5),
@@ -16,7 +16,6 @@ VALUES = [
     hhring.catalog()["u1"],
     BarChain.of(1, [(0, (1,), 0)]),
     Check("name", True),
-    Report("suite", [Check("name", False, "detail")]),
 ]
 
 
