@@ -18,6 +18,9 @@ factor is one read; mask_mul sums one read per monomial of its left factor.
 The module also owns the packed layout of free A-bimodules that minres and
 bar share: place, rows, left_act, right_act and evaluate_bits.  The last
 three walk the rows of a packed element inline and multiply by table reads.
+
+Functions here take and return masks and packed ints.  AlgebraElement wraps
+one mask with + and * for the oracles and the tests; mask_name renders it.
 """
 from __future__ import annotations
 
@@ -130,13 +133,6 @@ class AlgebraElement(Value):
         return cls(1 << index)
 
     @classmethod
-    def from_monomials(cls, indices: Iterator[int]) -> "AlgebraElement":
-        bits = 0
-        for i in indices:
-            bits ^= 1 << i
-        return cls(bits)
-
-    @classmethod
     def from_word(cls, word: str) -> "AlgebraElement":
         red = _reduce_word(word)
         return cls(0 if red is None else 1 << WORD_INDEX[red])
@@ -151,25 +147,23 @@ class AlgebraElement(Value):
         return self.bits != 0
 
     def monomials(self) -> Iterator[int]:
-        for i in range(8):
-            if self.bits >> i & 1:
-                yield i
+        return (i for i in range(8) if self.bits >> i & 1)
 
     def coefficient(self, index: int) -> int:
         return self.bits >> index & 1
 
     def __str__(self) -> str:
-        if not self.bits:
-            return "0"
-        return "+".join(BASIS_NAMES[i] for i in self.monomials())
+        return mask_name(self.bits)
 
 
-ONE = AlgebraElement.one()
+def mask_name(mask: int) -> str:
+    """A coefficient mask as the "+"-joined names of its monomials, or "0"."""
+    return "+".join(BASIS_NAMES[i] for i in range(8) if mask >> i & 1) or "0"
 
 
-def bilinear_form(a: AlgebraElement, b: AlgebraElement) -> int:
-    """Symmetrizing form: the xyxy coefficient of a*b."""
-    return (a * b).coefficient(XYXY)
+def bilinear_form(a: int, b: int) -> int:
+    """Symmetrizing form on coefficient masks: the xyxy coefficient of a*b."""
+    return mask_mul(a, b) >> XYXY & 1
 
 
 def dual_basis(m: int) -> int:
@@ -273,15 +267,12 @@ def evaluate_bits(values: Sequence[int], bits: int) -> int:
     return acc
 
 
-def center_basis() -> list[AlgebraElement]:
-    """Basis of Z(A), computed by brute-force commutation against x and y."""
-    gens = [AlgebraElement.monomial(X), AlgebraElement.monomial(Y)]
+def center_basis() -> list[int]:
+    """Basis of Z(A) as coefficient masks, by brute-force commutation against x and y."""
     out = []
     pivots: gf2.Pivots = {}
     for bits in range(256):
-        a = AlgebraElement(bits)
-        if any(a * g + g * a for g in gens):
-            continue
-        if gf2.insert(pivots, bits)[0]:
-            out.append(a)
+        commutes = all(PRODUCTS[g << 8 | bits] == PRODUCTS[RIGHT_MUL | g << 8 | bits] for g in (X, Y))
+        if commutes and gf2.insert(pivots, bits)[0]:
+            out.append(bits)
     return out

@@ -3,7 +3,7 @@
 No product module imports this one; the suites of q8bv.checks and the tests
 do.  It holds the bar differential, the Hochschild cochains with cup, circle
 products, bracket and the degree -1 operator, the transports between minimal
-and bar cochains through compare.phi and compare.psi, and the Connes
+and bar cochains through compare.phi and compare.psi_bits, and the Connes
 operator and boundary on Hochschild chains.
 
 Conventions, enforced centrally:

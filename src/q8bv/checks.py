@@ -27,12 +27,11 @@ import itertools
 from functools import cache, lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
-from . import algebra, bar, compare, gf2, hhring
+from . import algebra, bar, compare, gf2, hhring, minres
 from .algebra import (
     BASIS_NAMES,
     BASIS_WORDS,
     MONO_MUL,
-    ONE,
     PRODUCTS,
     RIGHT_MUL,
     UNIT,
@@ -50,16 +49,9 @@ from .algebra import (
     rows,
 )
 from .bar import bar_differential
-from .compare import BarChain, Mids, phi, phi_on_element, psi, psi_bits
+from .compare import BarChain, Mids, phi, phi_on_element, psi_bits
 from .hhring import CohomologyClass, Monomial, monomial_name
-from .minres import (
-    MinCochain,
-    MinResElement,
-    differential_bits,
-    generators,
-    homotopy_t,
-    min_differential,
-)
+from .minres import MinCochain, differential_bits, generators, pack_terms
 from .value import Value
 
 
@@ -231,7 +223,7 @@ def suite_algebra() -> list[Check]:
     x, y = mono[X], mono[Y]
 
     def form(a: int, b: int) -> int:
-        return algebra.bilinear_form(mono[a], mono[b])
+        return algebra.bilinear_form(1 << a, 1 << b)
 
     return [
         _check("multiplication table agrees with group-algebra oracle (64 products)", oracle_agrees),
@@ -266,28 +258,37 @@ def suite_algebra() -> list[Check]:
 # ---------------------------------------------------------------------------
 
 
-def augmentation(e: MinResElement) -> AlgebraElement:
-    """d0: multiply the two frames of P_0."""
-    if e.degree % 4 != 0:
-        raise ValueError("augmentation lives on P_0")
-    return AlgebraElement(evaluate_bits((1 << UNIT,), e.bits))
+def augmentation(bits: int) -> int:
+    """d0 on the packed element bits of P_0: multiply its two frames (a mask)."""
+    return evaluate_bits((1 << UNIT,), bits)
 
 
-def rho(a: AlgebraElement) -> MinResElement:
-    """Bimodule splitting A -> P_3, rho(1) = sum_b b* (x) b."""
+def rho(a: int) -> int:
+    """Bimodule splitting A -> P_3 on a mask, rho(1) = sum_b b* (x) b."""
     acc = 0
     for b in range(8):
-        acc ^= place(1 << dual_basis(b), 0, PRODUCTS[b << 8 | a.bits])
-    return MinResElement(3, acc)
+        acc ^= place(1 << dual_basis(b), 0, PRODUCTS[b << 8 | a])
+    return acc
 
 
-def tau(e: MinResElement) -> AlgebraElement:
+def tau(bits: int) -> int:
     """Bimodule retraction P_3 -> A: xyxy (x) c -> c, other b (x) c -> 0."""
     acc = 0
-    for _, left, rights in rows(e.bits):
+    for _, left, rights in rows(bits):
         if left == XYXY:
             acc ^= rights
-    return AlgebraElement(acc)
+    return acc
+
+
+def _t(p: int, bits: int) -> int:
+    """t_p on the packed element bits of P_p, read from minres.HOMOTOPY_TABLES
+    as it stands; t_(-1) takes a mask to 1 (x) that mask."""
+    if p == -1:
+        return place(1 << UNIT, 0, bits)
+    image = minres._apply_homotopy(minres.HOMOTOPY_TABLES[p % 4], bits)
+    if image >> 64 * len(generators(p + 1)):
+        raise ValueError(f"t{p} leaves the {len(generators(p + 1))} generators of degree {p + 1}")
+    return image
 
 
 SLOT_NAMES: tuple[tuple[str, ...], ...] = (("e",), ("x", "y"), ("rx", "ry"), ("e",))
@@ -296,7 +297,7 @@ SLOT_NAMES: tuple[tuple[str, ...], ...] = (("e",), ("x", "y"), ("rx", "ry"), ("e
 def _basis_arguments(degree: int):
     for slot in generators(degree):
         for b in range(8):
-            yield MinResElement.of(degree, [(b, slot, UNIT)]), b, slot
+            yield place(1 << b, slot, 1 << UNIT), b, slot
 
 
 def _arg_name(degree: int, b: int, slot: int) -> str:
@@ -306,31 +307,31 @@ def _arg_name(degree: int, b: int, slot: int) -> str:
 def suite_homotopy() -> list[Check]:
     """Every weak self-homotopy identity on all generator-by-basis arguments."""
 
-    def moved_by(f: Callable[[AlgebraElement], AlgebraElement]) -> Iterator[str]:
-        """The basis monomials a with f(a) != a."""
+    def moved_by(f: Callable[[int], int]) -> Iterator[str]:
+        """The basis monomials b with f(b) != b, as masks."""
         for b in range(8):
-            if f(AlgebraElement.monomial(b)) + AlgebraElement.monomial(b):
+            if f(1 << b) != 1 << b:
                 yield BASIS_NAMES[b]
 
     def contracts(p: int) -> Iterator[str]:
         """d(p+1) t(p) + t(p-1) d(p) = Id on P_p, with rho tau for d4 t3 at the seam."""
         for e, b, slot in _basis_arguments(p):
-            upper = rho(tau(e)) if p == 3 else min_differential(homotopy_t(p, e))
-            lower = homotopy_t(-1, augmentation(e)) if p == 0 else homotopy_t(p - 1, min_differential(e))
-            if upper + lower + e:
+            upper = rho(tau(e)) if p == 3 else differential_bits(p + 1, _t(p, e))
+            lower = _t(-1, augmentation(e)) if p == 0 else _t(p - 1, differential_bits(p, e))
+            if upper ^ lower ^ e:
                 yield _arg_name(p, b, slot)
 
     def squares_vanish() -> Iterator[str]:
         for b in range(8):
-            if homotopy_t(0, homotopy_t(-1, AlgebraElement.monomial(b))):
+            if _t(0, _t(-1, 1 << b)):
                 yield f"t0 t(-1) on {BASIS_NAMES[b]}"
         for p in range(4):
             for e, b, slot in _basis_arguments(p):
-                if homotopy_t(p + 1, homotopy_t(p, e)):
+                if _t(p + 1, _t(p, e)):
                     yield f"t{p + 1} t{p} on {_arg_name(p, b, slot)}"
 
     return [
-        _check("d0 t(-1) = Id", lambda: moved_by(lambda a: augmentation(homotopy_t(-1, a)))),
+        _check("d0 t(-1) = Id", lambda: moved_by(lambda a: augmentation(_t(-1, a)))),
         *(_check(f"d{p + 1} t{p} + t{p - 1} d{p} = Id", partial(contracts, p)) for p in range(3)),
         _check("t2 d3 + rho tau = Id", partial(contracts, 3)),
         _check("tau rho = Id", lambda: moved_by(lambda a: tau(rho(a)))),
@@ -394,15 +395,15 @@ def phi_reference(n: int) -> tuple[BarChain, ...]:
     raise ValueError("reference values exist for degrees 0..5 only")
 
 
-def psi_on_chain(chain: BarChain) -> MinResElement:
-    """Bimodule-linear extension of psi to bar chains with outer frames."""
+def psi_on_chain(chain: BarChain) -> int:
+    """Bimodule-linear extension of psi to bar chains with outer frames, packed."""
     acc = 0
     for mids, frames in chain.terms.items():
         value = compare.psi_bits(mids)
         if value:
             for _, left, rights in rows(frames):
                 acc ^= right_act(left_act(1 << left, value), rights)
-    return MinResElement(chain.degree, acc)
+    return acc
 
 
 def psi_of_boundary(mids: Mids) -> int:
@@ -494,13 +495,13 @@ PSI3_ROW_TABLES: list[tuple[tuple[str, str, str], dict[str, list[tuple[int, int,
 ]
 
 
-def _psi3_cyclic_sum(pattern: tuple[str, str, str], b_word: str) -> MinResElement:
-    """psi_3 of b(x)s(x)t + t(x)b(x)s + s(x)t(x)b for pattern (b, s, t)."""
+def _psi3_cyclic_sum(pattern: tuple[str, str, str], b_word: str) -> int:
+    """Packed psi_3 of b(x)s(x)t + t(x)b(x)s + s(x)t(x)b for pattern (b, s, t)."""
     _, s_w, t_w = pattern
     b = algebra.WORD_INDEX[b_word]
     s = algebra.WORD_INDEX[s_w]
     t = algebra.WORD_INDEX[t_w]
-    return psi(3, (b, s, t)) + psi(3, (t, b, s)) + psi(3, (s, t, b))
+    return psi_bits((b, s, t)) ^ psi_bits((t, b, s)) ^ psi_bits((s, t, b))
 
 
 def suite_comparison() -> list[Check]:
@@ -514,7 +515,7 @@ def suite_comparison() -> list[Check]:
     def phi_commutes() -> Iterator[str]:
         for n in range(1, 7):
             for slot in generators(n):
-                rhs = phi_on_element(min_differential(MinResElement.generator(n, slot)))
+                rhs = phi_on_element(n - 1, differential_bits(n, place(1 << UNIT, slot, 1 << UNIT)))
                 if bar_differential(phi(n)[slot]) + rhs:
                     yield f"degree {n} slot {slot}"
 
@@ -529,7 +530,7 @@ def suite_comparison() -> list[Check]:
     def psi_inverts_phi() -> Iterator[str]:
         for n in range(0, 5):
             for slot in generators(n):
-                if psi_on_chain(phi(n)[slot]) + MinResElement.generator(n, slot):
+                if psi_on_chain(phi(n)[slot]) != place(1 << UNIT, slot, 1 << UNIT):
                     yield f"degree {n} slot {slot}"
 
     def phi_matches_reference() -> Iterator[str]:
@@ -548,7 +549,7 @@ def suite_comparison() -> list[Check]:
     def psi3_rows_match() -> Iterator[str]:
         for pattern, table_rows in PSI3_ROW_TABLES:
             for b_word, pairs in table_rows.items():
-                if _psi3_cyclic_sum(pattern, b_word) + MinResElement.of(3, pairs):
+                if _psi3_cyclic_sum(pattern, b_word) != pack_terms(3, pairs):
                     yield f"{pattern} at b={b_word}"
 
     return [
@@ -643,11 +644,11 @@ def presentation_monomial_count(n: int) -> int:
 
 #: published cup products as (name, factors, representative cochain)
 CUP_WITNESSES: tuple[tuple[str, Monomial, MinCochain], ...] = (
-    ("u1*u1 = (1, y)", ("u1", "u1"), MinCochain.of(2, (ONE, AlgebraElement.monomial(Y)))),
-    ("u1p*u1p = (x, 1)", ("u1p", "u1p"), MinCochain.of(2, (AlgebraElement.monomial(X), ONE))),
-    ("u1p*v2p = y", ("u1p", "v2p"), MinCochain.of(3, (AlgebraElement.monomial(Y),))),
-    ("u1*v2 = x", ("u1", "v2"), MinCochain.of(3, (AlgebraElement.monomial(X),))),
-    ("u1p*v2 = xy", ("u1p", "v2"), MinCochain.of(3, (AlgebraElement.monomial(XY),))),
+    ("u1*u1 = (1, y)", ("u1", "u1"), MinCochain.of(2, (1 << UNIT, 1 << Y))),
+    ("u1p*u1p = (x, 1)", ("u1p", "u1p"), MinCochain.of(2, (1 << X, 1 << UNIT))),
+    ("u1p*v2p = y", ("u1p", "v2p"), MinCochain.of(3, (1 << Y,))),
+    ("u1*v2 = x", ("u1", "v2"), MinCochain.of(3, (1 << X,))),
+    ("u1p*v2 = xy", ("u1p", "v2"), MinCochain.of(3, (1 << XY,))),
 )
 
 

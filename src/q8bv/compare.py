@@ -1,30 +1,27 @@
 """Comparison morphisms between the minimal resolution and the bar resolution.
 
-phi : P_* -> Bar_*  is built from the differential formulas and the bar-side
-contracting homotopy shift_in (prepend a fresh unit); psi : Bar_* -> P_* is
-built from the weak self-homotopy t_*.  Both satisfy the chain-map
-identities by construction; the comparison suite of q8bv.checks re-checks
-them on explicit arguments to guard the stored tables.
+Elements of P_* are packed ints (the bimodule layout of algebra).  phi :
+P_* -> Bar_* is built from the differential formulas, each packed by
+minres.pack_terms, and the bar-side contracting homotopy shift_in (prepend a
+fresh unit); psi : Bar_* -> P_* is built from the weak self-homotopy t_*.
+Both satisfy the chain-map identities by construction; the comparison suite
+of q8bv.checks re-checks them on explicit arguments to guard the tables.
 
-psi is memoized per interior tuple as a packed P_n value (an int in the
-packed bimodule layout of algebra).  A miss extends the longest memoized
+psi_bits memoizes psi per interior tuple; the transports of the bar oracle,
+delta_matrix and the suites read it.  A miss extends the longest memoized
 tail one entry at a time through step tables, the per-bit images of
-t_r o (m . -), which are built on first use from minres.HOMOTOPY_TABLES as
-it stands then; clear_psi_memo drops the memo and the step tables together,
-so the hand tables stay the only source of truth.  psi_bits is the int entry
-that the transports of the bar oracle and delta_matrix read.
-
-Building phi(n) also fills psi on every prefix of its interior tuples, and
-with it every tail of those prefixes, so the values bar.transport_to_min and
-delta_matrix read are memoized once phi(n) exists, whichever query asked
-first.
+t_r o (m . -), built on first use from minres.HOMOTOPY_TABLES as it stands
+then; clear_psi_memo drops the memo and the step tables together, so the
+hand tables stay the only source of truth.  Building phi(n) also fills psi
+on every prefix of its interior tuples, and with it every tail of those
+prefixes, so the values bar.transport_to_min and delta_matrix read are
+memoized once phi(n) exists, whichever query asked first.
 
 delta_matrix(n) is class-level Delta, the composite bar.transport_to_min o
 bar.bv_delta o bar.transport_to_bar on degree-n cochains, as a matrix over
 the basis cochains.  It is built in one pass over the interior tuples of
 phi(n - 1) that extends memoized psi tails through the same step tables and
-skips every zero value, and kept per degree until clear_psi_memo, which
-drops the matrices with the memo and the step tables.
+skips every zero value, and kept per degree until clear_psi_memo.
 
 Degrees are capped at 8, as far as the oracle transports need to go.  The
 product reads only delta_matrix(1..4), since hhring reduces every class to
@@ -40,11 +37,11 @@ from .algebra import MONO_MUL, PRODUCTS, RIGHT_MUL, UNIT, XYXY, dual_basis
 from .algebra import evaluate_bits, left_act, place, right_act, rows
 from .minres import (
     GENERATOR_COUNTS,
-    MinResElement,
     clear_diagonal_memo,
     differential_formulas,
     generators,
     homotopy_step_table,
+    pack_terms,
 )
 from .value import Value
 
@@ -137,7 +134,7 @@ def phi(n: int) -> tuple[BarChain, ...]:
         return (BarChain.of(0, [(UNIT, (), UNIT)]),)
     # phi = s o phi o d on generators; s kills the images of the unit-left terms of d
     chains = tuple(
-        shift_in(phi_on_element(MinResElement.of(n - 1, terms))) for terms in differential_formulas(n)
+        shift_in(phi_on_element(n - 1, pack_terms(n - 1, terms))) for terms in differential_formulas(n)
     )
     # psi on every prefix, and through _psi_fill on its tails: the values that
     # bar.transport_to_min and _build_delta_matrix read
@@ -148,14 +145,14 @@ def phi(n: int) -> tuple[BarChain, ...]:
     return chains
 
 
-def phi_on_element(e: MinResElement) -> BarChain:
-    """Bimodule-linear extension of phi to arbitrary elements of P_n."""
-    table = phi(e.degree)
+def phi_on_element(degree: int, bits: int) -> BarChain:
+    """Bimodule-linear extension of phi to the packed element bits of P_degree."""
+    table = phi(degree)
     acc: dict[Mids, int] = {}
-    for slot, left, rights in rows(e.bits):
+    for slot, left, rights in rows(bits):
         for mids, frames in table[slot].terms.items():
             acc[mids] = acc.get(mids, 0) ^ right_act(left_act(1 << left, frames), rights)
-    return BarChain.from_dict(e.degree, acc)
+    return BarChain.from_dict(degree, acc)
 
 
 _PSI_MEMO: dict[Mids, int] = {}
@@ -165,15 +162,8 @@ _UNIT_GENERATOR = place(1 << UNIT, 0, 1 << UNIT)
 _STEP_TABLES: list[tuple[int, ...] | None] = [None] * 32
 
 
-def psi(n: int, mids: Mids) -> MinResElement:
-    """Value of psi_n on the basis tensor 1 (x) mids (x) 1, memoized."""
-    if len(mids) != n:
-        raise ValueError(f"tuple length {len(mids)} does not match degree {n}")
-    return MinResElement(n, psi_bits(mids))
-
-
 def psi_bits(mids: Mids) -> int:
-    """Packed value of psi on 1 (x) mids (x) 1; the degree is len(mids)."""
+    """Packed value of psi on 1 (x) mids (x) 1, memoized; the degree is len(mids)."""
     bits = _PSI_MEMO.get(mids)
     if bits is None:
         # every memo key was checked on the way in, so only misses are checked

@@ -18,11 +18,11 @@ so a class of degree n >= 5 has the int of a class of residue degree
 bracket and Delta run in residue degrees (the diagonal up to degree 8,
 delta_matrix of 1..4 only) and relabel the result, and every per-degree
 cache is keyed by residue.  The class of a monomial folds in a loop from
-its longest memoized prefix, one cup per new prefix.  The Delta, bracket
-and cup tables are returned as plain rows of arguments and classes, which
-q8bv.cli renders.  The generator catalog and the nonzero Delta entries are
-the only published data here; the values the suites check against are in
-q8bv.checks.
+its longest memoized prefix that no monomial relation divides, one cup per
+new prefix.  The Delta, bracket and cup tables are plain rows of arguments
+and classes, which q8bv.cli renders.  The generator catalog, in coefficient
+masks, and the nonzero Delta entries are the only published data here; the
+values the suites check against are in q8bv.checks.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import itertools
 from functools import lru_cache
 
 from . import gf2
-from .algebra import ONE, UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
+from .algebra import UNIT, X, XY, XYX, XYXY, Y, YX, YXY
 from .compare import clear_psi_memo, delta_matrix, phi
 from .minres import GENERATOR_COUNTS, MinCochain, bracket, cup, min_cochain_differential
 from .value import Value
@@ -181,24 +181,25 @@ GENERATOR_DEGREES: dict[str, int] = {
 }
 
 
-def _elt(*monomials: int) -> AlgebraElement:
-    return AlgebraElement.from_monomials(iter(monomials))
+def _mask(*monomials: int) -> int:
+    """The coefficient mask of the sum of the given basis monomials."""
+    return sum(1 << m for m in monomials)
 
 
 @lru_cache(maxsize=None)
 def catalog() -> dict[str, CohomologyClass]:
     """The ten published generators as cocycles on the minimal resolution."""
     reps = {
-        "p1": MinCochain.of(0, (_elt(XY, YX),)),
-        "p2": MinCochain.of(0, (_elt(XYX),)),
-        "p2p": MinCochain.of(0, (_elt(YXY),)),
-        "p3": MinCochain.of(0, (_elt(XYXY),)),
-        "u1": MinCochain.of(1, (_elt(UNIT, XY), _elt(X))),
-        "u1p": MinCochain.of(1, (_elt(Y), _elt(UNIT, YX))),
-        "v1": MinCochain.of(2, (_elt(Y), _elt(X))),
-        "v2": MinCochain.of(2, (_elt(X), AlgebraElement.zero())),
-        "v2p": MinCochain.of(2, (AlgebraElement.zero(), _elt(Y))),
-        "z": MinCochain.of(4, (ONE,)),
+        "p1": MinCochain.of(0, (_mask(XY, YX),)),
+        "p2": MinCochain.of(0, (_mask(XYX),)),
+        "p2p": MinCochain.of(0, (_mask(YXY),)),
+        "p3": MinCochain.of(0, (_mask(XYXY),)),
+        "u1": MinCochain.of(1, (_mask(UNIT, XY), _mask(X))),
+        "u1p": MinCochain.of(1, (_mask(Y), _mask(UNIT, YX))),
+        "v1": MinCochain.of(2, (_mask(Y), _mask(X))),
+        "v2": MinCochain.of(2, (_mask(X), 0)),
+        "v2p": MinCochain.of(2, (0, _mask(Y))),
+        "z": MinCochain.of(4, (_mask(UNIT),)),
     }
     return {name: CohomologyClass(rep) for name, rep in reps.items()}
 
@@ -211,6 +212,15 @@ def monomial_degree(m: Monomial) -> int:
 
 
 _MONOMIAL_CLASS_MEMO: dict[Monomial, CohomologyClass] = {}
+_LONGEST_KEY = 6  # the most factors of a memo key, as in p1*u1^3*v1*z
+
+
+def _relation_free(m: Monomial) -> bool:
+    """Whether no monomial relation divides m, by the caps of _candidate_monomials:
+    at most one p and one v factor, and u1 or u1p, not both, at most cubed."""
+    initials = [g[0] for g in m]
+    caps = initials.count("p") <= 1 and initials.count("v") <= 1 and initials.count("u") <= 3
+    return caps and not {"u1", "u1p"} <= set(m)
 
 
 def class_of_monomial(m: Monomial) -> CohomologyClass:
@@ -218,25 +228,28 @@ def class_of_monomial(m: Monomial) -> CohomologyClass:
 
     The empty monomial is the unit class, the constant-1 cocycle in degree 0.
     A longer one is folded in a loop, not by recursion, from its longest
-    memoized prefix (or its first generator): one cup product and one memo
-    entry per new prefix.  A z past the first only relabels the degree; no
-    memo key has two.  Raises ValueError naming a factor that is not a generator.
+    memoized prefix (or its first generator): one cup product per new prefix,
+    memoized if no monomial relation divides it.  A z past the first only
+    relabels the degree; no memo key has two.  Raises ValueError naming a
+    factor that is not a generator.
     """
     for g in m:
         if g not in GENERATOR_DEGREES:
             raise ValueError(f"monomial {m!r}: unknown generator {g!r}")
     if not m:
-        return CohomologyClass(MinCochain.of(0, (ONE,)))
+        return CohomologyClass(MinCochain.of(0, (_mask(UNIT),)))
     extra = m.count("z") - 1
     if extra > 0:
         base = class_of_monomial(tuple(g for g in m if g != "z") + ("z",))
         return _times_z(base.rep, extra)
-    k = len(m)
+    k = min(len(m), _LONGEST_KEY)
     while k > 1 and m[:k] not in _MONOMIAL_CLASS_MEMO:
         k -= 1
     cls = _MONOMIAL_CLASS_MEMO.setdefault(m[:k], catalog()[m[0]])
     for i in range(k, len(m)):
-        cls = _MONOMIAL_CLASS_MEMO[m[: i + 1]] = cup_classes(cls, catalog()[m[i]])
+        cls = cup_classes(cls, catalog()[m[i]])
+        if i < _LONGEST_KEY and _relation_free(m[: i + 1]):
+            _MONOMIAL_CLASS_MEMO[m[: i + 1]] = cls
     return cls
 
 

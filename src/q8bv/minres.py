@@ -9,8 +9,9 @@ Shape (repeating with period 4):
 Differential and homotopy value tables are stored on arguments of the form
 (basis monomial) (x) generator (x) 1 and extended by right A-linearity.
 An element of P_n is one int in the packed free-bimodule layout of
-algebra, which the bar chains also use for their outer frames.  homotopy_t
-applies the homotopy tables as they stand at the call; the augmentation
+algebra, which the bar chains also use for their outer frames; pack_terms
+packs a sum of hand-entered terms, checking each.  differential_bits and
+_apply_homotopy read the tables as they stand at the call; the augmentation
 P_0 -> A and the splitting rho : A -> P_3 with its retraction tau, which
 only the identities of the homotopy suite read, are in q8bv.checks.
 
@@ -33,7 +34,6 @@ from .algebra import (
     XYX,
     YXY,
     XYXY,
-    AlgebraElement,
     MONO_MUL,
     PRODUCTS,
     RIGHT_MUL,
@@ -42,6 +42,7 @@ from .algebra import (
     evaluate_bits,
     left_act,
     mask_mul,
+    mask_name,
     place,
     right_act,
     rows,
@@ -60,47 +61,18 @@ def generators(degree: int) -> range:
     return range(GENERATOR_COUNTS[degree % 4])
 
 
-class MinResElement(Value):
-    """GF(2) sum of basis triples of the free bimodule P_degree, packed into one int."""
-
-    __slots__ = _fields = ("degree", "bits")
-
-    def __init__(self, degree: int, bits: int) -> None:
-        width = 64 * len(generators(degree))
-        if bits < 0 or bits >> width:
-            raise ValueError(
-                f"bits out of range for the {width // 64} generators of degree {degree} ({width} bits)"
-            )
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "bits", bits)
-
-    @classmethod
-    def zero(cls, degree: int) -> "MinResElement":
-        return cls(degree, 0)
-
-    @classmethod
-    def of(cls, degree: int, terms: Iterable[Term]) -> "MinResElement":
-        acc = 0
-        nslots = len(generators(degree))
-        for left, slot, right in terms:
-            if not 0 <= slot < nslots:
-                raise ValueError(f"slot {slot} invalid at degree {degree}")
-            if not (0 <= left < 8 and 0 <= right < 8):
-                raise ValueError(f"term {(left, slot, right)}: monomial index outside 0..7")
-            acc ^= place(1 << left, slot, 1 << right)
-        return cls(degree, acc)
-
-    @classmethod
-    def generator(cls, degree: int, slot: int) -> "MinResElement":
-        return cls.of(degree, [(UNIT, slot, UNIT)])
-
-    def __add__(self, other: "MinResElement") -> "MinResElement":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return MinResElement(self.degree, self.bits ^ other.bits)
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
+def pack_terms(degree: int, terms: Iterable[Term]) -> int:
+    """The packed element of P_degree summing the basis terms (left, slot, right);
+    rejects a slot or a monomial index out of range."""
+    acc = 0
+    nslots = len(generators(degree))
+    for left, slot, right in terms:
+        if not 0 <= slot < nslots:
+            raise ValueError(f"slot {slot} invalid at degree {degree}")
+        if not (0 <= left < 8 and 0 <= right < 8):
+            raise ValueError(f"term {(left, slot, right)}: monomial index outside 0..7")
+        acc ^= place(1 << left, slot, 1 << right)
+    return acc
 
 
 # d1(1(x)x(x)1) = x(x)1 + 1(x)x, same shape for y
@@ -132,13 +104,9 @@ def differential_formulas(degree: int) -> tuple[tuple[Term, ...], ...]:
     return DIFFERENTIALS[(degree - 1) % 4]
 
 
-def min_differential(e: MinResElement) -> MinResElement:
-    """Bimodule-linear extension of the generator formulas."""
-    return MinResElement(e.degree - 1, differential_bits(e.degree, e.bits))
-
-
 def differential_bits(degree: int, bits: int) -> int:
-    """min_differential on the packed int of an element of P_degree."""
+    """d_degree on the packed int of an element of P_degree: the bimodule-linear
+    extension of the generator formulas."""
     formulas = differential_formulas(degree)
     acc = 0
     for slot, left, rights in rows(bits):
@@ -220,15 +188,6 @@ def _apply_homotopy(table, bits: int) -> int:
     return acc
 
 
-def homotopy_t(degree: int, e) -> MinResElement:
-    """Apply t_degree; degree -1 takes an AlgebraElement, else a MinResElement."""
-    if degree == -1:
-        return MinResElement(0, place(1 << UNIT, 0, e.bits))
-    if e.degree != degree:
-        raise ValueError("element degree does not match homotopy index")
-    return MinResElement(degree + 1, _apply_homotopy(HOMOTOPY_TABLES[degree % 4], e.bits))
-
-
 def homotopy_step_table(degree: int, m: int) -> tuple[int, ...]:
     """Images of the basis terms of P_degree under e -> t_degree(m e).
 
@@ -267,11 +226,14 @@ class MinCochain(Value):
         object.__setattr__(self, "bits", bits)
 
     @classmethod
-    def of(cls, degree: int, values: Sequence[AlgebraElement]) -> "MinCochain":
-        """The cochain with the given values on the generators, in slot order."""
-        if len(values) != len(generators(degree)):
+    def of(cls, degree: int, masks: Sequence[int]) -> "MinCochain":
+        """The cochain with the given coefficient masks as its values on the
+        generators, in slot order."""
+        if len(masks) != len(generators(degree)):
             raise ValueError("wrong number of generator values")
-        return cls(degree, sum(v.bits << 8 * s for s, v in enumerate(values)))
+        if any(m < 0 or m >> 8 for m in masks):
+            raise ValueError("coefficient mask out of range")
+        return cls(degree, sum(m << 8 * s for s, m in enumerate(masks)))
 
     @classmethod
     def zero(cls, degree: int) -> "MinCochain":
@@ -282,11 +244,6 @@ class MinCochain(Value):
         """The coefficient masks of the values on the generators, in slot order."""
         return tuple(self.bits >> 8 * s & 0xFF for s in generators(self.degree))
 
-    @property
-    def values(self) -> tuple[AlgebraElement, ...]:
-        """The values on the generators, in slot order."""
-        return tuple(map(AlgebraElement, self.masks))
-
     def __add__(self, other: "MinCochain") -> "MinCochain":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
@@ -296,9 +253,8 @@ class MinCochain(Value):
         return self.bits != 0
 
     def __str__(self) -> str:
-        if len(self.values) == 1:
-            return str(self.values[0])
-        return "(" + ", ".join(str(v) for v in self.values) + ")"
+        names = [mask_name(m) for m in self.masks]
+        return names[0] if len(names) == 1 else "(" + ", ".join(names) + ")"
 
 
 # ---------------------------------------------------------------------------

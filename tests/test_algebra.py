@@ -63,26 +63,26 @@ def test_products_never_hit_the_unit():
 
 
 def test_bilinear_form_values():
-    assert bilinear_form(MONO[X], MONO[YXY]) == 1
-    assert bilinear_form(MONO[X], MONO[Y]) == 0
+    assert bilinear_form(MONO[X].bits, MONO[YXY].bits) == 1
+    assert bilinear_form(MONO[X].bits, MONO[Y].bits) == 0
 
 
 def test_form_symmetric_and_associative():
     for a in range(8):
         for b in range(8):
-            assert bilinear_form(MONO[a], MONO[b]) == bilinear_form(MONO[b], MONO[a])
+            assert bilinear_form(MONO[a].bits, MONO[b].bits) == bilinear_form(MONO[b].bits, MONO[a].bits)
     for a in range(8):
         for b in range(8):
             for c in range(8):
-                assert bilinear_form(MONO[a] * MONO[b], MONO[c]) == bilinear_form(
-                    MONO[a], MONO[b] * MONO[c]
+                assert bilinear_form((MONO[a] * MONO[b]).bits, MONO[c].bits) == bilinear_form(
+                    MONO[a].bits, (MONO[b] * MONO[c]).bits
                 )
 
 
 def test_form_nondegenerate():
     from q8bv.gf2 import rank
 
-    gram = [sum(bilinear_form(MONO[a], MONO[b]) << b for b in range(8)) for a in range(8)]
+    gram = [sum(bilinear_form(MONO[a].bits, MONO[b].bits) << b for b in range(8)) for a in range(8)]
     assert rank(gram) == 8
 
 
@@ -93,7 +93,7 @@ def test_dual_basis_table():
     }
     for i in range(8):
         assert BASIS_NAMES[dual_basis(i)] == expected[BASIS_NAMES[i]]
-        assert bilinear_form(MONO[i], MONO[dual_basis(i)]) == 1
+        assert bilinear_form(MONO[i].bits, MONO[dual_basis(i)].bits) == 1
         assert dual_basis(dual_basis(i)) == i
 
 

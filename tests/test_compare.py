@@ -8,9 +8,9 @@ from q8bv import checks, compare, hhring, minres
 from q8bv.algebra import MONO_MUL, UNIT, X, XY, XYX, XYXY, Y, YX, AlgebraElement
 from q8bv.bar import bv_delta, transport_to_bar, transport_to_min
 from q8bv.checks import phi_reference
-from q8bv.compare import BarChain, phi, psi
+from q8bv.compare import BarChain, phi, psi_bits
 from q8bv.hhring import catalog, class_of_monomial, delta_class
-from q8bv.minres import MinCochain, MinResElement
+from q8bv.minres import MinCochain, pack_terms
 
 MONO = [AlgebraElement.monomial(i) for i in range(8)]
 
@@ -54,28 +54,28 @@ def test_phi_term_counts_per_degree():
 
 
 def test_psi_degree_one_is_the_derivation():
-    got = psi(1, (XY,))
-    assert got == MinResElement.of(1, [(UNIT, 0, Y), (X, 1, UNIT)])
+    got = psi_bits((XY,))
+    assert got == pack_terms(1, [(UNIT, 0, Y), (X, 1, UNIT)])
 
 
 def test_psi_degree_two_spot_value():
-    assert psi(2, (X, X)) == MinResElement.generator(2, 0)
+    assert psi_bits((X, X)) == pack_terms(2, [(UNIT, 0, UNIT)])
 
 
 def test_psi_degree_three_spot_value():
-    assert psi(3, (X, X, X)) == MinResElement.generator(3, 0)
+    assert psi_bits((X, X, X)) == pack_terms(3, [(UNIT, 0, UNIT)])
 
 
 def test_psi_rejects_unit_entries():
     with pytest.raises(ValueError):
-        psi(2, (UNIT, X))
+        psi_bits((UNIT, X))
 
 
 def test_psi_rejects_entries_outside_the_non_unit_monomials():
     compare.clear_psi_memo()
     for mids, bad in (((-1, 3), "-1"), ((X, 8), "8"), ((XY, UNIT), "0")):
         with pytest.raises(ValueError, match=f"entry {bad} "):
-            psi(2, mids)
+            psi_bits(mids)
 
 
 def _monomials(mask):
@@ -102,19 +102,19 @@ def reference_psi(mids):
 def test_psi_matches_triple_set_reference_exhaustively_in_degrees_one_to_three():
     for n in range(1, 4):
         for mids in itertools.product(range(1, 8), repeat=n):
-            assert psi(n, mids) == MinResElement.of(n, reference_psi(mids)), mids
+            assert psi_bits(mids) == pack_terms(n, reference_psi(mids)), mids
 
 
 def test_psi_matches_triple_set_reference_on_phi_tuples_in_degrees_four_to_eight():
     for n in range(4, 9):
         tuples = {mids for chain in phi(n) for mids in chain.terms}
         for mids in sorted(tuples):
-            assert psi(n, mids) == MinResElement.of(n, reference_psi(mids)), mids
+            assert psi_bits(mids) == pack_terms(n, reference_psi(mids)), mids
 
 
 def test_psi_degree_guard():
     with pytest.raises(ValueError):
-        psi(9, tuple([X] * 9))
+        psi_bits(tuple([X] * 9))
 
 
 def test_verify_chain_maps_passes():
@@ -174,15 +174,15 @@ def test_fault_injected_t1_after_warm_up_breaks_transport(monkeypatch):
 
 def test_psi_memo_cold_recompute_is_identical():
     samples = [
-        (1, (X,)),
-        (2, (X, Y)),
-        (3, (XYXY, X, X)),
-        (3, (Y, XY, X)),
+        (X,),
+        (X, Y),
+        (XYXY, X, X),
+        (Y, XY, X),
     ]
-    warm = {key: psi(*key) for key in samples}
+    warm = {key: psi_bits(key) for key in samples}
     compare.clear_psi_memo()
     for key, value in warm.items():
-        assert psi(*key) == value
+        assert psi_bits(key) == value
 
 
 def test_transport_tables_for_degree_one_generators():
@@ -207,7 +207,7 @@ def test_transport_round_trip_degrees_three_and_four():
     for degree in (3, 4):
         for bits in (1, 2, 5, 0x81, 0xFF):
             values = tuple(
-                AlgebraElement(bits >> (8 * s) & 0xFF)
+                bits >> (8 * s) & 0xFF
                 for s in minres.generators(degree)
             )
             f = MinCochain.of(degree, values)
@@ -216,12 +216,12 @@ def test_transport_round_trip_degrees_three_and_four():
 
 def test_transport_round_trip_degree_zero():
     for b in range(8):
-        f = MinCochain.of(0, (MONO[b],))
+        f = MinCochain.of(0, (MONO[b].bits,))
         assert transport_to_min(transport_to_bar(f)) == f
 
 
 def test_transport_of_zero_is_zero():
-    f = MinCochain.of(2, (AlgebraElement.zero(), AlgebraElement.zero()))
+    f = MinCochain.of(2, (0, 0))
     assert not transport_to_min(transport_to_bar(f))
 
 

@@ -1,13 +1,14 @@
 """Golden outputs of the benchmark: tables byte for byte, in JSON and in
-markdown, the verify verdict byte for byte as text and as JSON, every deep
-cup and bracket query and a fixed slice of the deep Delta queries."""
+markdown, also with AlgebraElement unusable, the verify verdict byte for
+byte as text and as JSON, every deep cup and bracket query and a fixed slice
+of the deep Delta queries."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from q8bv import cli, hhring
+from q8bv import algebra, cli, hhring
 
 GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden"
 
@@ -64,6 +65,25 @@ def test_table_markdown_matches_the_golden_entries(capsys, kind):
     assert code == 0
     entries = json.loads((GOLDEN / f"table_{kind}.json").read_text())["entries"]
     assert out == f"# {kind} table\n\n" + "".join(MARKDOWN_ROWS[kind](e) + "\n" for e in entries)
+
+
+def test_tables_and_dims_build_no_algebra_element(capsys, monkeypatch):
+    """The product computes on packed ints alone: with AlgebraElement unusable
+    and every memo dropped, the three JSON tables still match their golden
+    bytes and dims --max 40 prints the periodic dimensions."""
+
+    def refuse(self, bits=0):
+        raise AssertionError("the product built an AlgebraElement")
+
+    monkeypatch.setattr(algebra.AlgebraElement, "__init__", refuse)
+    hhring.clear_caches()
+    for kind in ("cup", "delta", "bracket"):
+        code, out = run(capsys, "table", kind, "--format", "json")
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"table_{kind}.json").read_bytes()
+    code, out = run(capsys, "dims", "--max", "40")
+    assert code == 0
+    assert out == "".join(f"HH^{n}: {(7, 7, 5, 5)[(n - 1) % 4] if n else 5}\n" for n in range(41))
 
 
 def answer(key: str) -> str:
