@@ -170,7 +170,7 @@ def psi_bits(mids: Mids) -> int:
         if len(mids) > MAX_DEGREE:
             raise ValueError(f"degree {len(mids)} outside supported range 0..{MAX_DEGREE}")
         for m in mids:
-            if not 0 < m < 8:
+            if not (isinstance(m, int) and 0 < m < 8):
                 raise ValueError(f"interior entry {m!r} of {mids} is not a non-unit monomial 1..7")
         bits = _psi_fill(mids)
     return bits

@@ -20,9 +20,12 @@ delta_matrix of 1..4 only) and relabel the result, and every per-degree
 cache is keyed by residue.  The class of a monomial folds in a loop from
 its longest memoized prefix that no monomial relation divides, one cup per
 new prefix.  The Delta, bracket and cup tables are plain rows of arguments
-and classes, which q8bv.cli renders.  The generator catalog, in coefficient
-masks, and the nonzero Delta entries are the only published data here; the
-values the suites check against are in q8bv.checks.
+and classes, which q8bv.cli renders.  One table, _GENERATORS, holds each
+generator's name, degree and coefficient masks in catalog order; the catalog,
+the degrees, the relation-free monomials (their caps are stated once, at
+_RELATION_FREE_BASES) and the Delta-table families derive from it.  It and
+the nonzero Delta entries are the only published data here; the values the
+suites check against are in q8bv.checks.
 """
 from __future__ import annotations
 
@@ -169,39 +172,39 @@ def bracket_classes(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
 # Generator catalog
 # ---------------------------------------------------------------------------
 
-GENERATOR_ORDER: tuple[str, ...] = (
-    "p1", "p2", "p2p", "p3", "u1", "u1p", "v1", "v2", "v2p", "z",
-)
-
-GENERATOR_DEGREES: dict[str, int] = {
-    "p1": 0, "p2": 0, "p2p": 0, "p3": 0,
-    "u1": 1, "u1p": 1,
-    "v1": 2, "v2": 2, "v2p": 2,
-    "z": 4,
-}
-
-
 def _mask(*monomials: int) -> int:
     """The coefficient mask of the sum of the given basis monomials."""
     return sum(1 << m for m in monomials)
 
 
+#: the ten published generators in catalog order, by degree: each row is the
+#: name, the degree and the coefficient masks of the representative cocycle
+_GENERATORS: tuple[tuple[str, int, tuple[int, ...]], ...] = (
+    ("p1", 0, (_mask(XY, YX),)),
+    ("p2", 0, (_mask(XYX),)),
+    ("p2p", 0, (_mask(YXY),)),
+    ("p3", 0, (_mask(XYXY),)),
+    ("u1", 1, (_mask(UNIT, XY), _mask(X))),
+    ("u1p", 1, (_mask(Y), _mask(UNIT, YX))),
+    ("v1", 2, (_mask(Y), _mask(X))),
+    ("v2", 2, (_mask(X), 0)),
+    ("v2p", 2, (0, _mask(Y))),
+    ("z", 4, (_mask(UNIT),)),
+)
+
+GENERATOR_ORDER: tuple[str, ...] = tuple(name for name, _, _ in _GENERATORS)
+GENERATOR_DEGREES: dict[str, int] = {name: degree for name, degree, _ in _GENERATORS}
+
+
+def _of_degree(d: int) -> list[str]:
+    """The generators of degree d, in catalog order."""
+    return [name for name, degree, _ in _GENERATORS if degree == d]
+
+
 @lru_cache(maxsize=None)
 def catalog() -> dict[str, CohomologyClass]:
     """The ten published generators as cocycles on the minimal resolution."""
-    reps = {
-        "p1": MinCochain.of(0, (_mask(XY, YX),)),
-        "p2": MinCochain.of(0, (_mask(XYX),)),
-        "p2p": MinCochain.of(0, (_mask(YXY),)),
-        "p3": MinCochain.of(0, (_mask(XYXY),)),
-        "u1": MinCochain.of(1, (_mask(UNIT, XY), _mask(X))),
-        "u1p": MinCochain.of(1, (_mask(Y), _mask(UNIT, YX))),
-        "v1": MinCochain.of(2, (_mask(Y), _mask(X))),
-        "v2": MinCochain.of(2, (_mask(X), 0)),
-        "v2p": MinCochain.of(2, (0, _mask(Y))),
-        "z": MinCochain.of(4, (_mask(UNIT),)),
-    }
-    return {name: CohomologyClass(rep) for name, rep in reps.items()}
+    return {name: CohomologyClass(MinCochain.of(degree, masks)) for name, degree, masks in _GENERATORS}
 
 
 Monomial = tuple[str, ...]  # generator names with multiplicity, catalog order
@@ -211,16 +214,38 @@ def monomial_degree(m: Monomial) -> int:
     return sum(GENERATOR_DEGREES[g] for g in m)
 
 
+#: The 140 z-free monomials no monomial relation divides, in catalog order
+#: (the table lists generators by degree): at most one factor of degree 0, at
+#: most one of degree 2, and at most three of degree 1, all the same one.  The
+#: caps lose nothing: two p factors, two v factors and u1*u1p are multiples of
+#: relations in checks.RELATIONS, and so is u1^4 = u1*u1p^3 (u1p^4 likewise).
+_RELATION_FREE_BASES: frozenset[Monomial] = frozenset(
+    p + u + v
+    for p in [()] + [(g,) for g in _of_degree(0)]
+    for u in [()] + [(g,) * a for g in _of_degree(1) for a in (1, 2, 3)]
+    for v in [()] + [(g,) for g in _of_degree(2)]
+)
+
 _MONOMIAL_CLASS_MEMO: dict[Monomial, CohomologyClass] = {}
-_LONGEST_KEY = 6  # the most factors of a memo key, as in p1*u1^3*v1*z
+#: the most factors of a memo key: a base and one z, as in p1*u1^3*v1*z
+_LONGEST_KEY = 1 + max(map(len, _RELATION_FREE_BASES))
 
 
 def _relation_free(m: Monomial) -> bool:
-    """Whether no monomial relation divides m, by the caps of _candidate_monomials:
-    at most one p and one v factor, and u1 or u1p, not both, at most cubed."""
-    initials = [g[0] for g in m]
-    caps = initials.count("p") <= 1 and initials.count("v") <= 1 and initials.count("u") <= 3
-    return caps and not {"u1", "u1p"} <= set(m)
+    """Whether no monomial relation divides m: its z-free factors, in catalog
+    order, are one of the relation-free bases."""
+    return tuple(sorted((g for g in m if g != "z"), key=GENERATOR_ORDER.index)) in _RELATION_FREE_BASES
+
+
+def _candidate_monomials(n: int) -> list[Monomial]:
+    """Degree-n monomials no monomial relation divides: each relation-free
+    base of degree at most n and congruent to n mod 4, filled up with z."""
+    out = []
+    for base in _RELATION_FREE_BASES:
+        rest = n - monomial_degree(base)
+        if rest >= 0 and rest % 4 == 0:
+            out.append(base + ("z",) * (rest // 4))
+    return sorted(out)
 
 
 def class_of_monomial(m: Monomial) -> CohomologyClass:
@@ -278,32 +303,6 @@ def class_of_expression(expr: str, degree: int) -> CohomologyClass:
 
 
 # ---------------------------------------------------------------------------
-# Candidate monomials of the presentation
-# ---------------------------------------------------------------------------
-
-
-def _candidate_monomials(n: int) -> list[Monomial]:
-    """Degree-n monomials not divisible by a monomial relation.
-
-    Larger exponents are provably zero in the quotient: two p factors, two v
-    factors, u1*u1p, and u1^4 (or u1p^4) are each multiples of relations
-    listed in checks.RELATIONS, so restricting to these caps loses nothing.
-    """
-    out = []
-    p_parts = [()] + [(p,) for p in ("p1", "p2", "p2p", "p3")]
-    u_parts = [()] + [("u1",) * a for a in (1, 2, 3)] + [("u1p",) * a for a in (1, 2, 3)]
-    v_parts = [()] + [(v,) for v in ("v1", "v2", "v2p")]
-    for p in p_parts:
-        for u in u_parts:
-            for v in v_parts:
-                base = p + u + v
-                rest = n - monomial_degree(base)
-                if rest >= 0 and rest % 4 == 0:
-                    out.append(base + ("z",) * (rest // 4))
-    return sorted(out)
-
-
-# ---------------------------------------------------------------------------
 # Structure tables
 # ---------------------------------------------------------------------------
 
@@ -327,12 +326,12 @@ def generator_pairs() -> list[tuple[str, str]]:
 def delta_table_inputs() -> list[tuple[str, ...]]:
     """Arguments on which the degree -1 operator is tabulated.
 
-    All ten generators; the v*p products; every a*z product; and the listed
-    nonzero products.
+    All ten generators; the products of a degree-0 and a degree-2 generator;
+    every a*z product; and the listed nonzero products.
     """
     rows: list[tuple[str, ...]] = [(g,) for g in GENERATOR_ORDER]
-    for a in ("v1", "v2", "v2p"):
-        for b in ("p1", "p2", "p2p", "p3"):
+    for a in _of_degree(2):
+        for b in _of_degree(0):
             rows.append((b, a))
     for a in GENERATOR_ORDER:
         rows.append(tuple(sorted((a, "z"), key=GENERATOR_ORDER.index)))

@@ -72,6 +72,32 @@ def test_product_module_has_no_oracle_code(module):
     assert not wrappers & set(re.findall(r"\w+", source))
 
 
+def test_the_class_ring_names_its_generators_in_one_table():
+    """Docstrings aside, hhring names the nine generators other than z only in
+    _GENERATORS and EXPECTED_DELTA_NONZERO: the catalog order, the degrees,
+    the relation-free monomials and the Delta-table families derive from
+    the one table."""
+    names = {"p1", "p2", "p2p", "p3", "u1", "u1p", "v1", "v2", "v2p"}
+    assert set(hhring.GENERATOR_ORDER) == names | {"z"}
+    tree = ast.parse((PACKAGE / "hhring.py").read_text())
+    tables, docstrings = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)) and ast.get_docstring(node) is not None:
+            docstrings.add(node.body[0].value)
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            if isinstance(target, ast.Name) and target.id in ("_GENERATORS", "EXPECTED_DELTA_NONZERO"):
+                tables[target.id] = set(ast.walk(node))
+
+    def named(nodes):
+        strings = [node for node in nodes if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+        return [(node.lineno, node.value) for node in strings if names & set(re.findall(r"\w+", node.value))]
+
+    assert {value for _, value in named(tables["_GENERATORS"])} == names
+    in_tables = set().union(*tables.values()) | docstrings
+    assert named(n for n in ast.walk(tree) if n not in in_tables) == []
+
+
 @pytest.mark.parametrize("module", [m for m in PRODUCT if m != "bar"] + ["cli"])
 def test_only_the_oracle_takes_the_bar_cup(module):
     """Cups and brackets are computed on the minimal resolution through one

@@ -73,7 +73,7 @@ def test_psi_rejects_unit_entries():
 
 def test_psi_rejects_entries_outside_the_non_unit_monomials():
     compare.clear_psi_memo()
-    for mids, bad in (((-1, 3), "-1"), ((X, 8), "8"), ((XY, UNIT), "0")):
+    for mids, bad in (((-1, 3), "-1"), ((X, 8), "8"), ((XY, UNIT), "0"), ((X, XY, "a"), "'a'"), ((1.0,), r"1\.0")):
         with pytest.raises(ValueError, match=f"entry {bad} "):
             psi_bits(mids)
 

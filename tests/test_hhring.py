@@ -1,5 +1,6 @@
 """Class arithmetic, the generator catalog, relations, and the structure tables."""
 
+import itertools
 import random
 import re
 from functools import cache
@@ -222,7 +223,7 @@ def test_delta_rejects_degree_zero():
         delta_class(catalog()["p1"])
 
 
-def test_delta_rejects_degree_nine():
+def test_delta_of_a_degree_nine_class_runs_through_its_residue():
     nine = CohomologyClass(MinCochain(9, catalog()["u1"].rep.bits))  # u1 shifted by z^2
     value = delta_class(nine)
     assert value.degree == 8 and value.is_zero() and render_class(value) == "0"
@@ -374,6 +375,32 @@ def test_the_monomial_memo_keeps_no_prefix_a_relation_divides():
         assert sorted(hhring._MONOMIAL_CLASS_MEMO) == [("p1",), ("u1",), ("u1", "u1"), ("u1", "u1", "u1")]
     finally:
         hhring.clear_caches()
+
+
+def test_every_monomial_the_caps_reject_has_the_zero_class():
+    """The caps of hhring._RELATION_FREE_BASES, checked by computation: of the
+    2,001 monomials of one to five generators other than z, the 1,862 that
+    _relation_free rejects are all zero."""
+    gens = [g for g in hhring.GENERATOR_ORDER if g != "z"]
+    monos = [m for k in range(1, 6) for m in itertools.combinations_with_replacement(gens, k)]
+    rejected = [m for m in monos if not hhring._relation_free(m)]
+    assert (len(monos), len(rejected)) == (2001, 1862)
+    assert [m for m in rejected if not class_of_monomial(m).is_zero()] == []
+
+
+def test_candidate_monomials_are_the_relation_free_monomials_of_their_degree():
+    """By brute force: every monomial of up to six generators other than z,
+    one more than the longest relation-free base, filled up with z to degree
+    n and kept where _relation_free accepts it."""
+    gens = [g for g in hhring.GENERATOR_ORDER if g != "z"]
+    monos = [m for k in range(7) for m in itertools.combinations_with_replacement(gens, k)]
+    for n in range(13):
+        brute = []
+        for m in monos:
+            rest = n - hhring.monomial_degree(m)
+            if rest >= 0 and rest % 4 == 0 and hhring._relation_free(m + ("z",) * (rest // 4)):
+                brute.append(m + ("z",) * (rest // 4))
+        assert hhring._candidate_monomials(n) == sorted(brute), n
 
 
 def test_class_of_expression_reads_the_unit_monomial():
