@@ -1,10 +1,11 @@
 """Normalized bar complex of A, the oracle the product is checked against.
 
 No product module imports this one; the suites of q8bv.checks and the tests
-do.  It holds the bar differential, the Hochschild cochains with cup, circle
-products, bracket and the degree -1 operator, the transports between minimal
-and bar cochains through compare.phi and compare.psi_bits, and the Connes
-operator and boundary on Hochschild chains.
+do.  It holds the bar differential, the Hochschild cochains with cup,
+bracket (the references of minres.cup and minres.bracket in the tests) and the
+degree -1 operator, the transports between minimal and bar cochains through
+compare.phi and compare.psi_bits, and the Connes operator and boundary on
+Hochschild chains.
 
 Conventions, enforced centrally:
   * interior tensor slots hold non-unit basis monomials only; any operation
@@ -14,10 +15,9 @@ Conventions, enforced centrally:
 
 A cochain value is an 8-bit coefficient mask (an int, see algebra): the
 memo stores masks, composites read their operands through BarCochain.mask
-and multiply with mask_mul, or with one algebra.PRODUCTS read when a factor
-is a monomial, and only the public call wraps a value in an AlgebraElement.
-Each circle product and each bracket is one flat cochain that loops over
-every insertion slot.
+and multiply with mask_mul, and only the public call wraps a value in an
+AlgebraElement.  Each bracket is one flat cochain that loops over every
+insertion slot of both operands.
 
 Bar chains are compare.BarChain, the values of phi.  A basis term of a
 Hochschild chain is one octal-packed int (pack); b and B map a term to a set
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .algebra import MONO_MUL, PRODUCTS, RIGHT_MUL, UNIT, XYXY, AlgebraElement, dual_basis
+from .algebra import MONO_MUL, PRODUCTS, UNIT, XYXY, AlgebraElement, dual_basis
 from .algebra import evaluate_bits, mask_mul, place, rows
 from .compare import BarChain, Mids, phi, psi_bits
 from .minres import MinCochain
@@ -93,33 +93,6 @@ class BarCochain:
         return BarCochain(self.degree, lambda args: f(args) ^ g(args))
 
 
-def evaluate_on_chain(f: BarCochain, chain: BarChain) -> AlgebraElement:
-    """Pair a cochain with a chain: sum of left * f(mids) * right."""
-    if chain.degree != f.degree:
-        raise ValueError(f"cochain of degree {f.degree} on a chain of degree {chain.degree}")
-    acc = 0
-    for mids, frames in chain.terms.items():
-        value = f.mask(mids)
-        if value:
-            acc ^= evaluate_bits((value,), frames)
-    return AlgebraElement(acc)
-
-
-def cochain_differential(f: BarCochain) -> BarCochain:
-    """Hochschild cochain differential; degree rises by one."""
-    n, fmask = f.degree, f.mask
-
-    def fn(args: Mids) -> int:
-        acc = PRODUCTS[args[0] << 8 | fmask(args[1:])] ^ PRODUCTS[RIGHT_MUL | args[n] << 8 | fmask(args[:-1])]
-        for i in range(1, n + 1):
-            prod = MONO_MUL[args[i - 1]][args[i]]  # a monomial or zero
-            if prod:
-                acc ^= fmask(args[: i - 1] + (prod.bit_length() - 1,) + args[i + 1 :])
-        return acc
-
-    return BarCochain(n + 1, fn)
-
-
 def cup(f: BarCochain, g: BarCochain) -> BarCochain:
     n, fmask, gmask = f.degree, f.mask, g.mask
 
@@ -159,31 +132,17 @@ def _insert(fmask, gmask, m: int, slots: range, args: Mids) -> int:
     return acc
 
 
-def _insertion_degree(name: str, f: BarCochain, g: BarCochain) -> int:
-    degree = f.degree + g.degree - 1
-    if degree < 0:
-        raise ValueError(f"{name} of degrees {f.degree} and {g.degree} would have degree {degree}")
-    return degree
-
-
-def circle(f: BarCochain, g: BarCochain) -> BarCochain:
-    """Sum of all insertions of g into f, as one cochain; zero when f has no slots."""
-    m, fmask, gmask = g.degree, f.mask, g.mask
-    slots = range(f.degree)
-    return BarCochain(
-        _insertion_degree("circle", f, g), lambda args: _insert(fmask, gmask, m, slots, args)
-    )
-
-
 def bracket(f: BarCochain, g: BarCochain) -> BarCochain:
     """Gerstenhaber bracket f o g + g o f (signs trivial over GF(2)), as one cochain."""
     n, m, fmask, gmask = f.degree, g.degree, f.mask, g.mask
+    if n + m < 1:
+        raise ValueError(f"bracket of degrees {n} and {m} would have degree {n + m - 1}")
     f_slots, g_slots = range(n), range(m)
 
     def fn(args: Mids) -> int:
         return _insert(fmask, gmask, m, f_slots, args) ^ _insert(gmask, fmask, n, g_slots, args)
 
-    return BarCochain(_insertion_degree("bracket", f, g), fn)
+    return BarCochain(n + m - 1, fn)
 
 
 def bv_delta(f: BarCochain) -> BarCochain:
@@ -222,10 +181,15 @@ def transport_to_bar(f: MinCochain) -> BarCochain:
 
 def transport_to_min(g: BarCochain) -> MinCochain:
     """Evaluate a bar cochain on the phi images of the generators."""
-    n = g.degree
+    n, gmask = g.degree, g.mask
     bits = 0
     for slot, chain in enumerate(phi(n)):
-        bits |= evaluate_on_chain(g, chain).bits << 8 * slot
+        value = 0
+        for mids, frames in chain.terms.items():
+            mask = gmask(mids)
+            if mask:
+                value ^= evaluate_bits((mask,), frames)
+        bits |= value << 8 * slot
     return MinCochain(n, bits)
 
 

@@ -8,9 +8,9 @@ Both satisfy the chain-map identities by construction; the comparison suite
 of q8bv.checks re-checks them on explicit arguments to guard the tables.
 
 psi_bits memoizes psi per interior tuple; the transports of the bar oracle,
-delta_matrix and the suites read it.  A miss extends the longest memoized
-tail one entry at a time through step tables, the per-bit images of
-t_r o (m . -), built on first use from minres.HOMOTOPY_TABLES as it stands
+delta_matrix and the suites read it.  A miss on (m, *rest) takes psi of rest,
+itself memoized, one step further through a step table, the per-bit images
+of t_r o (m . -), built on first use from minres.HOMOTOPY_TABLES as it stands
 then; clear_psi_memo drops the memo and the step tables together, so the
 hand tables stay the only source of truth.  Building phi(n) also fills psi
 on every prefix of its interior tuples, and with it every tail of those
@@ -86,13 +86,13 @@ class BarChain(Value):
         for term in terms:
             left, mids, right = term
             for name, index in (("left frame", left), ("right frame", right)):
-                if not 0 <= index < 8:
+                if not (isinstance(index, int) and 0 <= index < 8):
                     raise ValueError(f"{name} {index!r} of {term!r} is not a monomial 0..7")
             mids = tuple(mids)
             if len(mids) != degree:
                 raise ValueError(f"term {term!r} does not have degree {degree}")
             for m in mids:
-                if not 0 < m < 8:
+                if not (isinstance(m, int) and 0 < m < 8):
                     raise ValueError(f"interior entry {m!r} of {term!r} is not a non-unit monomial 1..7")
             acc[mids] = acc.get(mids, 0) ^ place(1 << left, 0, 1 << right)
         return cls.from_dict(degree, acc)
@@ -136,8 +136,8 @@ def phi(n: int) -> tuple[BarChain, ...]:
     chains = tuple(
         shift_in(phi_on_element(n - 1, pack_terms(n - 1, terms))) for terms in differential_formulas(n)
     )
-    # psi on every prefix, and through _psi_fill on its tails: the values that
-    # bar.transport_to_min and _build_delta_matrix read
+    # psi on every prefix, and through its recursion on their tails: the
+    # values that bar.transport_to_min and _build_delta_matrix read
     for chain in chains:
         for mids in chain.terms:
             for i in range(1, n + 1):
@@ -156,7 +156,7 @@ def phi_on_element(degree: int, bits: int) -> BarChain:
 
 
 _PSI_MEMO: dict[Mids, int] = {}
-#: packed 1 (x) 1, the generator of P_0: psi of the empty tuple, never memoized
+#: packed 1 (x) 1, the generator of P_0: psi of the empty tuple
 _UNIT_GENERATOR = place(1 << UNIT, 0, 1 << UNIT)
 #: step table of t_r o (m . -) at index 8*r + m, built on first use
 _STEP_TABLES: list[tuple[int, ...] | None] = [None] * 32
@@ -167,28 +167,14 @@ def psi_bits(mids: Mids) -> int:
     bits = _PSI_MEMO.get(mids)
     if bits is None:
         # every memo key was checked on the way in, so only misses are checked
-        if len(mids) > MAX_DEGREE:
-            raise ValueError(f"degree {len(mids)} outside supported range 0..{MAX_DEGREE}")
+        n = len(mids)
+        if n > MAX_DEGREE:
+            raise ValueError(f"degree {n} outside supported range 0..{MAX_DEGREE}")
         for m in mids:
             if not (isinstance(m, int) and 0 < m < 8):
                 raise ValueError(f"interior entry {m!r} of {mids} is not a non-unit monomial 1..7")
-        bits = _psi_fill(mids)
-    return bits
-
-
-def _psi_fill(mids: Mids) -> int:
-    """Packed psi(n, (m, *rest)) = t_{n-1}(m psi(n-1, rest)), memoizing every tail.
-
-    Starts from the longest memoized tail (the degree-0 generator when there
-    is none) and takes one step-table pass per remaining entry.
-    """
-    n = len(mids)
-    k = min(1, n)
-    while k < n and mids[k:] not in _PSI_MEMO:
-        k += 1
-    bits = _PSI_MEMO[mids[k:]] if k < n else _UNIT_GENERATOR
-    for i in range(k - 1, -1, -1):
-        bits = _PSI_MEMO[mids[i:]] = _step(bits, n - i - 1, mids[i])
+        # psi(m, *rest) = t_{n-1}(m psi(rest))
+        bits = _PSI_MEMO[mids] = _step(psi_bits(mids[1:]), n - 1, mids[0]) if n else _UNIT_GENERATOR
     return bits
 
 

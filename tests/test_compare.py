@@ -106,10 +106,12 @@ def test_psi_matches_triple_set_reference_exhaustively_in_degrees_one_to_three()
 
 
 def test_psi_matches_triple_set_reference_on_phi_tuples_in_degrees_four_to_eight():
-    for n in range(4, 9):
-        tuples = {mids for chain in phi(n) for mids in chain.terms}
-        for mids in sorted(tuples):
-            assert psi_bits(mids) == pack_terms(n, reference_psi(mids)), mids
+    # building phi memoizes psi on these tuples; on a cold memo and in
+    # reverse-sorted order the recursion computes every tail, down to depth 8
+    tuples = {mids for n in range(4, 9) for chain in phi(n) for mids in chain.terms}
+    compare.clear_psi_memo()
+    for mids in sorted(tuples, reverse=True):
+        assert psi_bits(mids) == pack_terms(len(mids), reference_psi(mids)), mids
 
 
 def test_psi_degree_guard():
