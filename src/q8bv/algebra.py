@@ -19,8 +19,9 @@ The module also owns the packed layout of free A-bimodules that minres and
 bar share: place, rows, left_act, right_act and evaluate_bits.  The last
 three walk the rows of a packed element inline and multiply by table reads.
 
-Functions here take and return masks and packed ints.  AlgebraElement wraps
-one mask with + and * for the oracles and the tests; mask_name renders it.
+Functions here take and return masks and packed ints: word_mask reads a
+word of the paper as a mask and mask_name renders one.  AlgebraElement, one
+mask with *, is left only for the call counter of bench/tracer.py.
 """
 from __future__ import annotations
 
@@ -61,15 +62,14 @@ def _reduce_word(word: str) -> Optional[str]:
         word = word[:doubled] + stem + word[doubled + 2 :]
 
 
+def word_mask(word: str) -> int:
+    """The coefficient mask of a word in x and y: one monomial, or 0 when the word vanishes."""
+    red = _reduce_word(word)
+    return 0 if red is None else 1 << WORD_INDEX[red]
+
+
 def _build_mono_table() -> tuple[tuple[int, ...], ...]:
-    table = []
-    for a in range(8):
-        row = []
-        for b in range(8):
-            red = _reduce_word(BASIS_WORDS[a] + BASIS_WORDS[b])
-            row.append(0 if red is None else 1 << WORD_INDEX[red])
-        table.append(tuple(row))
-    return tuple(table)
+    return tuple(tuple(word_mask(a + b) for b in BASIS_WORDS) for a in BASIS_WORDS)
 
 
 #: MONO_MUL[a][b] is the bit mask of the product of basis monomials a and b
@@ -111,7 +111,8 @@ def mask_mul(a: int, b: int) -> int:
 
 
 class AlgebraElement(Value):
-    """GF(2) linear combination of the 8 basis monomials, packed into bits."""
+    """One coefficient mask with a product.  No module of the package builds
+    one: bench/tracer.py counts calls of __mul__ (ROADMAP item 8)."""
 
     __slots__ = _fields = ("bits",)
 
@@ -120,40 +121,8 @@ class AlgebraElement(Value):
             raise ValueError("coefficient mask out of range")
         object.__setattr__(self, "bits", bits)
 
-    @classmethod
-    def zero(cls) -> "AlgebraElement":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "AlgebraElement":
-        return cls(1 << UNIT)
-
-    @classmethod
-    def monomial(cls, index: int) -> "AlgebraElement":
-        return cls(1 << index)
-
-    @classmethod
-    def from_word(cls, word: str) -> "AlgebraElement":
-        red = _reduce_word(word)
-        return cls(0 if red is None else 1 << WORD_INDEX[red])
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(self.bits ^ other.bits)
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(mask_mul(self.bits, other.bits))
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def monomials(self) -> Iterator[int]:
-        return (i for i in range(8) if self.bits >> i & 1)
-
-    def coefficient(self, index: int) -> int:
-        return self.bits >> index & 1
-
-    def __str__(self) -> str:
-        return mask_name(self.bits)
 
 
 def mask_name(mask: int) -> str:

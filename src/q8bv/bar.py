@@ -15,9 +15,9 @@ Conventions, enforced centrally:
 
 A cochain value is an 8-bit coefficient mask (an int, see algebra): the
 memo stores masks, composites read their operands through BarCochain.mask
-and multiply with mask_mul, and only the public call wraps a value in an
-AlgebraElement.  Each bracket is one flat cochain that loops over every
-insertion slot of both operands.
+and multiply with mask_mul, and the public call checks the number of
+arguments before it reads the mask.  Each bracket is one flat cochain that
+loops over every insertion slot of both operands.
 
 Bar chains are compare.BarChain, the values of phi.  A basis term of a
 Hochschild chain is one octal-packed int (pack); b and B map a term to a set
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .algebra import MONO_MUL, PRODUCTS, UNIT, XYXY, AlgebraElement, dual_basis
+from .algebra import MONO_MUL, PRODUCTS, UNIT, XYXY, dual_basis
 from .algebra import evaluate_bits, mask_mul, place, rows
 from .compare import BarChain, Mids, phi, psi_bits
 from .minres import MinCochain
@@ -81,10 +81,10 @@ class BarCochain:
             value = self._memo[args] = self._fn(args)
         return value
 
-    def __call__(self, args: Mids) -> AlgebraElement:
+    def __call__(self, args: Mids) -> int:
         if len(args) != self.degree:
             raise ValueError(f"expected {self.degree} arguments, got {len(args)}")
-        return AlgebraElement(self.mask(args))
+        return self.mask(args)
 
     def __add__(self, other: "BarCochain") -> "BarCochain":
         if self.degree != other.degree:

@@ -81,10 +81,10 @@ def _coboundary_pivots(r: int) -> gf2.Pivots:
 
 
 def hh_dim(n: int) -> int:
-    """Exact dimension of the degree-n cohomology, computed in the residue degree:
-    the nullity of the cochain differential less the dimension of the coboundaries."""
-    rows = _delta_image_vectors(_residue(n))
-    return len(rows) - gf2.rank(rows) - len(coboundaries(n))
+    """Exact dimension of the degree-n cohomology: the cochains of degree n less
+    the rank of the cochain differential, which is the dimension of the
+    coboundaries of degree n + 1, less the dimension of those of degree n."""
+    return len(_delta_image_vectors(_residue(n))) - len(coboundaries(n + 1)) - len(coboundaries(n))
 
 
 def is_coboundary(f: MinCochain) -> bool:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from q8bv import bar, checks
-from q8bv.algebra import MONO_MUL, UNIT, X, XY, XYX, XYXY, Y, YX, YXY, AlgebraElement
+from q8bv.algebra import MONO_MUL, UNIT, X, XY, XYX, XYXY, Y, YX, YXY, mask_mul
 from q8bv.bar import (
     BarCochain,
     bar_differential,
@@ -22,7 +22,7 @@ from q8bv.bar import (
 )
 from q8bv.compare import BarChain
 
-MONO = [AlgebraElement.monomial(i) for i in range(8)]
+MONO = [1 << i for i in range(8)]
 NON_UNIT = list(range(1, 8))
 
 
@@ -30,17 +30,16 @@ def tensor(left, mids, right):
     return BarChain.of(len(mids), [(left, tuple(mids), right)])
 
 
-def constant_cochain(a: AlgebraElement) -> BarCochain:
-    bits = a.bits
-    return BarCochain(0, lambda args: bits)
+def constant_cochain(a: int) -> BarCochain:
+    return BarCochain(0, lambda args: a)
 
 
 def identity_cochain() -> BarCochain:
-    return BarCochain(1, lambda args: MONO[args[0]].bits)
+    return BarCochain(1, lambda args: MONO[args[0]])
 
 
 def multiplication_cochain() -> BarCochain:
-    return BarCochain(2, lambda args: (MONO[args[0]] * MONO[args[1]]).bits)
+    return BarCochain(2, lambda args: mask_mul(MONO[args[0]], MONO[args[1]]))
 
 
 def test_bar_differential_degree_one():
@@ -118,11 +117,11 @@ def test_frame_multiplication_on_single_terms():
     for a in range(8):
         for left in range(8):
             got = checks.frame_multiply(1 << a, tensor(left, (X,), Y), unit)
-            prod = MONO[a] * MONO[left]
-            assert got == (tensor(next(prod.monomials()), (X,), Y) if prod else BarChain.zero(1))
+            prod = mask_mul(MONO[a], MONO[left])
+            assert got == (tensor(prod.bit_length() - 1, (X,), Y) if prod else BarChain.zero(1))
             got = checks.frame_multiply(unit, tensor(Y, (X,), left), 1 << a)
-            prod = MONO[left] * MONO[a]
-            assert got == (tensor(Y, (X,), next(prod.monomials())) if prod else BarChain.zero(1))
+            prod = mask_mul(MONO[left], MONO[a])
+            assert got == (tensor(Y, (X,), prod.bit_length() - 1) if prod else BarChain.zero(1))
 
 
 def test_cochain_vanishes_on_unit_arguments():
@@ -133,13 +132,13 @@ def test_cochain_vanishes_on_unit_arguments():
 def test_cup_of_constants():
     a, b = MONO[X], MONO[Y]
     c = cup(constant_cochain(a), constant_cochain(b))
-    assert c(()) == a * b
+    assert c(()) == mask_mul(a, b)
 
 
 def test_cup_with_unit_constant_is_identity():
     f = identity_cochain()
-    left = cup(constant_cochain(AlgebraElement.one()), f)
-    right = cup(f, constant_cochain(AlgebraElement.one()))
+    left = cup(constant_cochain(MONO[UNIT]), f)
+    right = cup(f, constant_cochain(MONO[UNIT]))
     for b in NON_UNIT:
         assert left((b,)) == f((b,))
         assert right((b,)) == f((b,))
@@ -148,7 +147,7 @@ def test_cup_with_unit_constant_is_identity():
 def test_cup_associative_low_degrees():
     cochains = [
         constant_cochain(MONO[X]),
-        constant_cochain(MONO[XY] + MONO[YX]),
+        constant_cochain(MONO[XY] ^ MONO[YX]),
         identity_cochain(),
     ]
     for f, g, h in itertools.product(cochains, repeat=3):
@@ -314,11 +313,11 @@ def test_bv_delta_of_zero_cochain():
 
 def test_bv_delta_degree_one_formula():
     # Delta(f)() = sum_b <f(b), 1> b*
-    f = BarCochain(1, lambda args: (MONO[args[0]] * MONO[YXY]).bits)
-    expected = AlgebraElement.zero()
+    f = BarCochain(1, lambda args: mask_mul(MONO[args[0]], MONO[YXY]))
+    expected = 0
     for b in NON_UNIT:
-        if (MONO[b] * MONO[YXY]).coefficient(XYXY):
-            expected = expected + MONO[bar.dual_basis(b)]
+        if mask_mul(MONO[b], MONO[YXY]) >> XYXY & 1:
+            expected ^= MONO[bar.dual_basis(b)]
     assert bv_delta(f)(()) == expected
 
 
@@ -331,12 +330,12 @@ def test_negative_degree_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Reference: the AlgebraElement-valued formulas the mask kernels replaced
+# Reference: the per-slot formulas the flat mask kernels replaced
 # ---------------------------------------------------------------------------
 
 
 class RefCochain:
-    """Memoized AlgebraElement-valued cochain, zero on unit arguments."""
+    """Memoized mask-valued cochain, zero on unit arguments."""
 
     def __init__(self, degree, fn):
         self.degree, self._fn, self._memo = degree, fn, {}
@@ -344,28 +343,29 @@ class RefCochain:
     def __call__(self, args):
         assert len(args) == self.degree
         if UNIT in args:
-            return AlgebraElement.zero()
+            return 0
         if args not in self._memo:
             self._memo[args] = self._fn(args)
         return self._memo[args]
 
     def __add__(self, other):
-        return RefCochain(self.degree, lambda args: self(args) + other(args))
+        return RefCochain(self.degree, lambda args: self(args) ^ other(args))
 
 
 def ref_cup(f, g):
     n = f.degree
-    return RefCochain(n + g.degree, lambda args: f(args[:n]) * g(args[n:]))
+    return RefCochain(n + g.degree, lambda args: mask_mul(f(args[:n]), g(args[n:])))
 
 
 def ref_circle_i(f, g, i):
     m = g.degree
 
     def fn(args):
-        acc = AlgebraElement.zero()
-        for mono in g(args[i - 1 : i - 1 + m]).monomials():
-            if mono != UNIT:
-                acc = acc + f(args[: i - 1] + (mono,) + args[i - 1 + m :])
+        acc = 0
+        value = g(args[i - 1 : i - 1 + m])
+        for mono in range(8):
+            if value >> mono & 1 and mono != UNIT:
+                acc ^= f(args[: i - 1] + (mono,) + args[i - 1 + m :])
         return acc
 
     return RefCochain(f.degree + m - 1, fn)
@@ -373,7 +373,7 @@ def ref_circle_i(f, g, i):
 
 def ref_circle(f, g):
     if f.degree == 0:
-        return RefCochain(g.degree - 1, lambda args: AlgebraElement.zero())
+        return RefCochain(g.degree - 1, lambda args: 0)
     out = ref_circle_i(f, g, 1)
     for i in range(2, f.degree + 1):
         out = out + ref_circle_i(f, g, i)
@@ -388,13 +388,13 @@ def ref_bv_delta(f):
     n = f.degree
 
     def fn(args):
-        acc = AlgebraElement.zero()
+        acc = 0
         for b in NON_UNIT:
             s = 0
             for i in range(1, n + 1):
-                s ^= f(args[i - 1 :] + (b,) + args[: i - 1]).coefficient(XYXY)
+                s ^= f(args[i - 1 :] + (b,) + args[: i - 1]) >> XYXY & 1
             if s:
-                acc = acc + MONO[bar.dual_basis(b)]
+                acc ^= MONO[bar.dual_basis(b)]
         return acc
 
     return RefCochain(n - 1, fn)
@@ -417,8 +417,8 @@ def paired_operations(pairs, max_degree):
 def test_mask_kernels_match_reference_exhaustively_to_degree_three():
     pairs = [
         (identity_cochain(), RefCochain(1, lambda args: MONO[args[0]])),
-        (multiplication_cochain(), RefCochain(2, lambda args: MONO[args[0]] * MONO[args[1]])),
-        (constant_cochain(MONO[XY] + MONO[YX]), RefCochain(0, lambda args: MONO[XY] + MONO[YX])),
+        (multiplication_cochain(), RefCochain(2, lambda args: mask_mul(MONO[args[0]], MONO[args[1]]))),
+        (constant_cochain(MONO[XY] ^ MONO[YX]), RefCochain(0, lambda args: MONO[XY] ^ MONO[YX])),
     ]
     seen = set()
     for name, kernel, ref in paired_operations(pairs, 3):
@@ -438,7 +438,7 @@ def test_mask_kernels_match_reference_on_phi_images_of_catalog_generators():
     def ref_transport(rep):
         n = rep.degree
         values = rep.masks
-        return RefCochain(n, lambda mids: AlgebraElement(evaluate_bits(values, psi_bits(mids))))
+        return RefCochain(n, lambda mids: evaluate_bits(values, psi_bits(mids)))
 
     cat = catalog()
     pairs = [(transport_to_bar(cat[g].rep), ref_transport(cat[g].rep)) for g in GENERATOR_ORDER]

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from q8bv import bar, checks, cli, compare, hhring, minres
-from q8bv.algebra import MONO_MUL, UNIT, X, Y, YX, AlgebraElement
+from q8bv import algebra, bar, checks, cli, compare, hhring, minres
+from q8bv.algebra import MONO_MUL, UNIT, X, Y, YX
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "q8bv"
@@ -56,18 +56,24 @@ def imported_modules(tree):
             yield from (alias.name.rpartition(".")[2] for alias in node.names)
 
 
-@pytest.mark.parametrize("module", PRODUCT + ("__init__", "cli"))
+#: the modules each module must not import: the product none of the oracle,
+#: cli no bar, bar no suites
+ORACLE_IMPORTS = {"cli": {"bar"}, "bar": {"checks"}, "checks": set()}
+
+
+@pytest.mark.parametrize("module", PRODUCT + ("__init__", "cli", "bar", "checks"))
 def test_product_module_has_no_oracle_code(module):
-    """No product module imports the bar oracle or the suites; cli, which
-    loads the suites for verify, imports no bar either.  The product speaks
-    packed ints: only algebra, which defines it, names AlgebraElement, and no
-    module names the deleted MinResElement."""
+    """No product module imports the bar oracle or the suites, or defines a
+    suite; cli, which loads the suites for verify, imports no bar either, and
+    bar imports no suites.  Every module speaks masks and packed ints: only
+    algebra, which defines it, names AlgebraElement, and no module names the
+    deleted MinResElement."""
     source = (PACKAGE / f"{module}.py").read_text()
     tree = ast.parse(source)
-    oracle = {"bar"} if module == "cli" else {"bar", "report", "checks"}
+    oracle = ORACLE_IMPORTS.get(module, {"bar", "report", "checks"})
     assert not oracle & set(imported_modules(tree))
     functions = [n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-    assert not [f for f in functions if f.startswith(("verify_", "suite_"))]
+    assert module == "checks" or not [f for f in functions if f.startswith(("verify_", "suite_"))]
     wrappers = {"MinResElement"} if module == "algebra" else {"MinResElement", "AlgebraElement"}
     assert not wrappers & set(re.findall(r"\w+", source))
 
@@ -351,7 +357,7 @@ def test_a_suite_that_raises_outside_its_checks_fails_by_name(monkeypatch, capsy
 
 def test_a_check_keeps_its_first_three_counterexamples(monkeypatch):
     for b in list(checks.U1_TRANSPORT_TABLE):
-        monkeypatch.setitem(checks.U1_TRANSPORT_TABLE, b, AlgebraElement.zero())
+        monkeypatch.setitem(checks.U1_TRANSPORT_TABLE, b, 0)
     [check] = [c for c in checks.suite_comparison() if not c.passed]
     assert (check.name, check.detail) == ("degree-1 transport table for u1 (7 monomials)", "x; y; xy")
 
@@ -366,6 +372,13 @@ def test_the_center_dimension_check_reads_the_conjugacy_classes(monkeypatch):
     assert checks.conjugacy_class_count() == 5
     monkeypatch.setattr(checks, "conjugacy_class_count", lambda: 4)
     assert failing(checks.suite_relations()) == {"hh_dim(0) = 5 (center dimension)"}
+
+
+def test_the_dual_basis_check_reads_the_gram_matrix(monkeypatch):
+    """A reversed table is an involution too: only the form tells xy* = xy."""
+    monkeypatch.setattr(algebra, "DUAL_BASIS", (7, 6, 5, 4, 3, 2, 1, 0))
+    [check] = [c for c in checks.suite_algebra() if not c.passed]
+    assert (check.name, check.detail) == ("dual basis table (8 entries) and involution", "xy; yx")
 
 
 def _psi_chain_map_tuples():

@@ -118,10 +118,9 @@ def test_verify_reports_failure_exit_code(monkeypatch, capsys):
 
 def test_a_failing_check_renders_its_detail_and_fails_the_suite(monkeypatch, capsys):
     from q8bv import checks
-    from q8bv.algebra import AlgebraElement
 
     for b in list(checks.U1_TRANSPORT_TABLE):
-        monkeypatch.setitem(checks.U1_TRANSPORT_TABLE, b, AlgebraElement.zero())
+        monkeypatch.setitem(checks.U1_TRANSPORT_TABLE, b, 0)
     code, out = run(capsys, "verify", "comparison")
     assert code == 1
     assert [line for line in out.splitlines() if not line.startswith("[PASS] comparison: ")] == [

@@ -1,7 +1,7 @@
 """Golden outputs of the benchmark: tables byte for byte, in JSON and in
-markdown, also with AlgebraElement unusable, the verify verdict byte for
-byte as text and as JSON, every deep cup and bracket query and a fixed slice
-of the deep Delta queries."""
+markdown, the verify verdict byte for byte as text and as JSON, both also
+with AlgebraElement unusable, every deep cup and bracket query and a fixed
+slice of the deep Delta queries."""
 
 import json
 from pathlib import Path
@@ -68,9 +68,10 @@ def test_table_markdown_matches_the_golden_entries(capsys, kind):
 
 
 def test_tables_and_dims_build_no_algebra_element(capsys, monkeypatch):
-    """The product computes on packed ints alone: with AlgebraElement unusable
-    and every memo dropped, the three JSON tables still match their golden
-    bytes and dims --max 40 prints the periodic dimensions."""
+    """The product and the oracles compute on masks and packed ints alone:
+    with AlgebraElement unusable and every memo dropped, the three JSON
+    tables still match their golden bytes, dims --max 40 prints the periodic
+    dimensions and verify all passes every golden check, as text and JSON."""
 
     def refuse(self, bits=0):
         raise AssertionError("the product built an AlgebraElement")
@@ -84,6 +85,12 @@ def test_tables_and_dims_build_no_algebra_element(capsys, monkeypatch):
     code, out = run(capsys, "dims", "--max", "40")
     assert code == 0
     assert out == "".join(f"HH^{n}: {(7, 7, 5, 5)[(n - 1) % 4] if n else 5}\n" for n in range(41))
+    code, out = run(capsys, "verify", "all")
+    assert code == 0
+    assert out == "".join(f"[PASS] all: {name}\n" for name in golden_names()) + "suite all: PASS\n"
+    code, out = run(capsys, "verify", "all", "--json")
+    assert code == 0
+    assert [(c["name"], c["passed"]) for c in json.loads(out)["checks"]] == [(name, True) for name in golden_names()]
 
 
 def answer(key: str) -> str:
